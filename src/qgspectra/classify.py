@@ -11,17 +11,27 @@ gives the exact variance
     var(n) = 2^-n * (|P0| + sum_N 2^N |PhatN|)
 
 as a dyadic rational.
+
+The bond-distinct pseudo orbits of length n are the cycle covers of the
+balanced n-bond subsets, and a subset with N doubly used vertices has
+exactly 2^N of them.  The census therefore counts balanced subsets by
+(n, N) with a frontier transfer matrix over vertices, in exact integers,
+and builds no pseudo orbit.  Enumeration remains where the pseudo orbits
+themselves are the output: general mode, JSONL dumps, partner sums and
+the diagonal approximation.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable
 
-from .graphs import DirectedGraph
+from .graphs import DirectedGraph, vertex_ports
 from .orbits import (
     DEFAULT_CAP,
     PseudoOrbit,
@@ -115,7 +125,19 @@ def class_counts(
     mode: str = "bond_distinct",
     cap: int = DEFAULT_CAP,
 ) -> ClassCounts:
-    """Count P0 / PhatN / excluded pseudo orbits of total length n."""
+    """Count P0 / PhatN / excluded pseudo orbits of total length n.
+
+    ``bond_distinct`` counts balanced n-bond subsets by encounter number
+    N with a transfer matrix over vertices; each such subset carries
+    exactly 2^N bond-distinct pseudo orbits (its cycle covers), so no
+    pseudo orbit is built.  ``general`` enumerates and classifies every
+    primitive pseudo orbit, repeated bonds included.
+    """
+    if mode == "bond_distinct":
+        subsets = _balanced_subset_counts(graph, n)
+        return ClassCounts(
+            n=n, p0=subsets[0], phat={N: 2**N * c for N, c in enumerate(subsets) if N and c}
+        )
     p0 = 0
     excluded = 0
     phat: dict[int, int] = {}
@@ -128,6 +150,97 @@ def class_counts(
         else:
             excluded += 1
     return ClassCounts(n=n, p0=p0, phat=dict(sorted(phat.items())), excluded=excluded)
+
+
+def _elimination_order(graph: DirectedGraph) -> list[int]:
+    """Greedy min-frontier vertex order, ties broken by vertex id.
+
+    Processing a vertex closes its bonds to processed vertices and opens
+    its bonds to unprocessed ones; each step picks the vertex that leaves
+    the fewest open bonds.
+    """
+    neighbours: list[list[int]] = [[] for _ in range(graph.vertex_count)]
+    for u, w in graph.bonds:
+        if u != w:
+            neighbours[u].append(w)
+            neighbours[w].append(u)
+    done = [False] * graph.vertex_count
+    order: list[int] = []
+    for _ in range(graph.vertex_count):
+        _, v = min(
+            (sum(-1 if done[w] else 1 for w in neighbours[v]), v)
+            for v in range(graph.vertex_count)
+            if not done[v]
+        )
+        done[v] = True
+        order.append(v)
+    return order
+
+
+def _balanced_subset_counts(graph: DirectedGraph, n: int) -> list[int]:
+    """Number of balanced n-bond subsets with N doubly used vertices,
+    indexed by N = 0..n//2.
+
+    Frontier transfer matrix: vertices are eliminated in
+    :func:`_elimination_order`; a bond is open while exactly one of its
+    endpoints is processed.  The state is the set of selected open bonds
+    (a bitmask over bond ids) and carries a generating polynomial in x
+    (selected bonds) and y (doubly used vertices), truncated at x^n.  A
+    vertex step decides the vertex's remaining bonds, keeps the choices
+    with selected in = selected out, and closes the bonds whose endpoints
+    are now both processed.  A self-loop is decided and closed at once.
+    """
+    B = graph.num_bonds
+    if not 0 <= n <= B:
+        raise ValueError(f"n must lie in 0..{B}")
+    ports = vertex_ports(graph)
+    for v in range(graph.vertex_count):
+        n_in, n_out = len(ports.in_bonds[v]), len(ports.out_bonds[v])
+        if n_in > 2 or n_out > 2:
+            raise ValueError(
+                f"vertex {v} has {n_in} incoming / {n_out} outgoing bonds; "
+                "the class census needs at most 2 of each"
+            )
+    # Polynomials are packed into one int: the coefficient of x^k y^N sits
+    # at bit width * (k * span + N).  Each coefficient counts subsets of
+    # the decided bonds, so it stays below C(B, B//2) < 2^width.
+    width = math.comb(B, B // 2).bit_length()
+    span = n // 2 + 1
+    keep = (1 << (width * span * (n + 1))) - 1
+    done = [False] * graph.vertex_count
+    states: dict[int, int] = {0: 1}
+    for v in _elimination_order(graph):
+        incident = set(ports.in_bonds[v]) | set(ports.out_bonds[v])
+        # the far end of bond (u, w) at v is u + w - v; v itself for a loop
+        closing = [b for b in incident if done[sum(graph.bonds[b]) - v]]
+        fresh = sorted(incident.difference(closing))
+        closing_in = sum(1 << b for b in closing if graph.terminus(b) == v)
+        closing_out = sum(1 << b for b in closing if graph.origin(b) == v)
+        # choices for the fresh bonds, keyed by (selected in - selected out)
+        choices: dict[int, list[tuple[int, int, int]]] = {}
+        for picks in itertools.product((False, True), repeat=len(fresh)):
+            chosen = [b for b, pick in zip(fresh, picks) if pick]
+            d_in = sum(1 for b in chosen if graph.terminus(b) == v)
+            d_out = sum(1 for b in chosen if graph.origin(b) == v)
+            opened = sum(1 << b for b in chosen if graph.origin(b) != graph.terminus(b))
+            choices.setdefault(d_in - d_out, []).append((d_in, len(chosen), opened))
+        done[v] = True
+        unclosed = ~(closing_in | closing_out)
+        step: dict[int, int] = {}
+        for mask, poly in states.items():
+            c_in = (mask & closing_in).bit_count()
+            c_out = (mask & closing_out).bit_count()
+            base = mask & unclosed
+            for d_in, k, opened in choices.get(c_out - c_in, ()):
+                shift = width * (k * span + (c_in + d_in == 2))
+                term = (poly << shift) & keep
+                if term:
+                    key = base | opened
+                    step[key] = step.get(key, 0) + term
+        states = step
+    total = states.get(0, 0)
+    digit = (1 << width) - 1
+    return [(total >> (width * (n * span + N))) & digit for N in range(span)]
 
 
 def variance_from_classes(counts: ClassCounts) -> Fraction:

@@ -47,7 +47,7 @@ EXIT_CAP = 5
 
 ORACLE_TOL = 1e-12
 DEFAULT_MC_TOL = 5e-3
-SUBSET_LIMIT = 2_000_000  # above this many minors, exact/oracle report n/a
+SUBSET_LIMIT = 2_000_000  # above this many minors, the oracle reports n/a
 
 
 def _fmt(value) -> str:
@@ -233,9 +233,8 @@ def cmd_variance_mc(args) -> int:
     )
     rows = []
     for est in estimates:
-        feasible = _exhaustive_feasible(B, est.n)
-        exact = float(exact_variance(graph, est.n)) if feasible else None
-        oracle = minor_sum_variance(S, est.n) if feasible else None
+        exact = float(exact_variance(graph, est.n))
+        oracle = minor_sum_variance(S, est.n) if _exhaustive_feasible(B, est.n) else None
         rows.append(
             [
                 _fmt(est.n),
@@ -293,9 +292,6 @@ def run_table_report(args) -> TableResult:
     counts_by_n = {}
     exact_by_n = {}
     for n in ns:
-        if not _exhaustive_feasible(B, n):
-            exact_by_n[n] = None
-            continue
         if n <= B // 2:
             counts_by_n[n] = class_counts(graph, n)
             exact_by_n[n] = variance_from_classes(counts_by_n[n])
@@ -332,13 +328,13 @@ def run_table_report(args) -> TableResult:
         counts = counts_by_n.get(n)
         exact = exact_by_n[n]
         est = estimates[n]
-        abs_error = None if exact is None else abs(est.mean - float(exact))
+        abs_error = abs(est.mean - float(exact))
         row = [_fmt(n), _fmt(counts.p0 if counts else None)]
         for N in range(1, max_encounters + 1):
             row.append(_fmt(counts.phat.get(N, 0) if counts else None))
         row += [
             _fmt(exact),
-            _fmt(None if exact is None else float(exact)),
+            _fmt(float(exact)),
             _fmt(oracle_by_n[n]),
             _fmt(est.mean),
             _fmt(est.std_error),
@@ -348,9 +344,8 @@ def run_table_report(args) -> TableResult:
 
     exit_code = EXIT_OK
     for n in ns:
-        exact = exact_by_n[n]
         oracle = oracle_by_n[n]
-        if exact is not None and oracle is not None and abs(float(exact) - oracle) > ORACLE_TOL:
+        if oracle is not None and abs(float(exact_by_n[n]) - oracle) > ORACLE_TOL:
             exit_code = EXIT_ORACLE_MISMATCH
             break
     if exit_code == EXIT_OK and getattr(args, "expect", None):
@@ -358,11 +353,8 @@ def run_table_report(args) -> TableResult:
             exit_code = EXIT_TABLE_MISMATCH
     if exit_code == EXIT_OK:
         for n in ns:
-            exact = exact_by_n[n]
-            if exact is None:
-                continue
             est = estimates[n]
-            if abs(est.mean - float(exact)) > max(args.mc_tol, 3 * est.std_error):
+            if abs(est.mean - float(exact_by_n[n])) > max(args.mc_tol, 3 * est.std_error):
                 exit_code = EXIT_MC_DIVERGED
                 break
 

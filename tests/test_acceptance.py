@@ -291,10 +291,12 @@ def test_10_midpoint_trend():
 
     The target inequality asks the r=5 estimate to sit closer to 1/2 than
     the r=3 estimate by more than three combined standard errors.  The
-    measured margin is printed either way.
+    measured margin is printed either way, with the exact midpoint
+    variance next to each estimate.
     """
     t0 = time.perf_counter()
     results = {}
+    exact = {}
     for r in (2, 3, 4, 5):
         graph = q.build_binary_graph(1, r)
         S = q.build_bond_scattering(graph)
@@ -304,10 +306,11 @@ def test_10_midpoint_trend():
             seed=400 + r, threads=MC_THREADS,
         )[0]
         results[r] = est
+        exact[r] = exact_variance(graph, est.n)
         print(
             f"     r={r} B={graph.num_bonds:3d} n={est.n:2d}: "
             f"est = {est.mean:.4f} +- {est.std_error:.4f} "
-            f"(|est - 1/2| = {abs(est.mean - 0.5):.4f})"
+            f"(|est - 1/2| = {abs(est.mean - 0.5):.4f}), exact = {exact[r]}"
         )
     d3 = abs(results[3].mean - 0.5)
     d5 = abs(results[5].mean - 0.5)
@@ -321,6 +324,11 @@ def test_10_midpoint_trend():
         ok,
         f"need |est(5) - 1/2| < |est(3) - 1/2| by > 3 combined stderr = "
         f"{3.0 * combined:.4f}, measured margin = {margin:+.4f}; "
-        f"M={TREND_SAMPLES} per graph, {elapsed:.0f}s",
+        + "; ".join(
+            f"r={r}: est {results[r].mean:.4f} +- {results[r].std_error:.4f}, "
+            f"exact {exact[r]}"
+            for r in results
+        )
+        + f"; M={TREND_SAMPLES} per graph, {elapsed:.0f}s",
     )
     assert ok, msg

@@ -1,8 +1,11 @@
 """Encounter classification, exact dyadic variance, and cancellation."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import qgspectra as q
 from qgspectra.classify import (
@@ -16,7 +19,9 @@ from qgspectra.classify import (
     visit_profile,
     write_orbit_dump,
 )
+from qgspectra.graphs import DirectedGraph
 from qgspectra.orbits import enumerate_pseudo_orbits, group_by_bond_multiset, make_pseudo_orbit
+from qgspectra.spectral import minor_sum_variance
 
 V8_P0 = [1, 2, 2, 4, 8, 8, 8, 16, 16]
 V8_PHAT = [{}, {}, {}, {}, {}, {1: 8}, {1: 20}, {1: 16, 2: 8}, {1: 16, 2: 24}]
@@ -112,6 +117,55 @@ def test_general_mode_census(debruijn8, binary6):
     assert (got.p0, got.phat, got.excluded) == (16, {1: 16, 2: 8}, 24)
     got = class_counts(binary6, 5, mode="general")
     assert (got.p0, got.phat, got.excluded) == (8, {1: 4}, 8)
+
+
+def _enumerated_census(graph, n):
+    """The census straight from the enumerated bond-distinct pseudo orbits."""
+    p0, phat = 0, {}
+    for po in enumerate_pseudo_orbits(graph, n, "bond_distinct"):
+        tag = classify_pseudo_orbit(graph, po)
+        if tag.kind == "P0":
+            p0 += 1
+        else:
+            assert tag.kind == "PhatN"
+            phat[tag.encounters] = phat.get(tag.encounters, 0) + 1
+    return ClassCounts(n=n, p0=p0, phat=dict(sorted(phat.items())))
+
+
+def _assert_census_matches_enumeration(graph, n_max):
+    S = q.build_bond_scattering(graph)
+    for n in range(min(n_max, graph.num_bonds) + 1):
+        counts = class_counts(graph, n)
+        assert counts == _enumerated_census(graph, n)
+        assert abs(float(variance_from_classes(counts)) - minor_sum_variance(S, n)) <= 1e-12
+
+
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=25, deadline=None)
+def test_census_matches_enumeration_on_random_graphs(vertex_count, seed):
+    # seeded configuration model: pair up the 4V half-edge stubs, keeping
+    # self-loops and parallel edges
+    stubs = [v for v in range(vertex_count) for _ in range(4)]
+    random.Random(seed).shuffle(stubs)
+    edges = list(zip(stubs[::2], stubs[1::2]))
+    try:
+        graph = q.orient_four_regular(edges, vertex_count)
+    except ValueError:  # disconnected draw
+        assume(False)
+    _assert_census_matches_enumeration(graph, 6)
+
+
+@pytest.mark.parametrize("p, r", [(3, 2), (5, 1)])
+def test_census_matches_enumeration_on_binary_family(p, r):
+    _assert_census_matches_enumeration(q.build_binary_graph(p, r), 6)
+
+
+def test_census_rejects_vertex_above_two_in_two_out():
+    graph = DirectedGraph(2, ((0, 0), (0, 0), (0, 0), (0, 1), (1, 0), (1, 1)))
+    with pytest.raises(ValueError, match="vertex 0 has 4 incoming / 4 outgoing"):
+        class_counts(graph, 2)
+    with pytest.raises(ValueError, match="vertex 0"):
+        exact_variance(graph, 3)
 
 
 def test_variance_from_classes_arithmetic():

@@ -108,6 +108,18 @@ def test_variance_exact_default_range_is_half(tmp_path):
     assert [row["n"] for row in _read_csv(out)] == [str(n) for n in range(9)]
 
 
+def test_variance_exact_midpoint_b64(capsys):
+    assert main(["variance", "exact", "--p", "1", "--r", "5", "--n", "32"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1].split(",")[1] == "36993/65536"
+
+
+def test_census_graph_above_two_in_two_out_exits_config(tmp_path, capsys):
+    path = tmp_path / "dense.json"
+    save_graph(DirectedGraph(2, ((0, 0), (0, 0), (0, 0), (0, 1), (1, 0), (1, 1))), path)
+    assert main(["orbits", "classify", "--graph-file", str(path), "--n", "2"]) == EXIT_CONFIG
+    assert "vertex 0 has 4 incoming / 4 outgoing" in capsys.readouterr().err
+
+
 def test_variance_oracle_csv(tmp_path):
     out = tmp_path / "oracle.csv"
     assert main(["variance", "oracle", "--p", "3", "--r", "1", "--n", "4",
@@ -126,6 +138,22 @@ def test_variance_mc_row_fields(tmp_path):
     assert row["exact"] == "1.0"
     assert row["samples"] == "50"
     assert row["seed"] == "3"
+
+
+def test_exact_column_beyond_oracle_limit(tmp_path):
+    # C(32, 16) minors are past the oracle's limit; exact and census stay
+    out = tmp_path / "mc.csv"
+    assert main(["variance", "mc", "--p", "1", "--r", "4", "--n", "16",
+                 "--samples", "50", "--out", str(out)]) == EXIT_OK
+    row = _read_csv(out)[0]
+    assert (row["exact"], row["oracle"]) == ("0.56640625", "n/a")
+
+    out = tmp_path / "table.csv"
+    assert main(["report", "table", "--p", "1", "--r", "4", "--n", "16",
+                 "--samples", "50", "--mc-tol", "1", "--out", str(out)]) == EXIT_OK
+    row = _read_csv(out)[0]
+    assert (row["p0"], row["exact_fraction"], row["oracle"]) == ("256", "145/256", "n/a")
+    assert sum(int(row[f"phat{N}"]) for N in range(1, 6)) == 3648
 
 
 def test_variance_diagonal_csv(tmp_path):
