@@ -29,6 +29,7 @@ from .graphs import (
     build_binary_graph,
     load_graph,
     orient_four_regular,
+    read_graph,
     save_graph,
     validate_graph,
     vertex_ports,
@@ -46,7 +47,6 @@ from .orbits import (
     EnumerationCapExceeded,
     PseudoOrbit,
     admissible_subsets,
-    amplitude,
     canonical_orbit,
     covers_of_subset,
     enumerate_pseudo_orbits,
@@ -57,7 +57,6 @@ from .orbits import (
 from .quantize import (
     BondLengths,
     BondScattering,
-    EvolutionOperator,
     build_bond_scattering,
     dft_vertex_matrix,
     evolution_operator,
@@ -85,7 +84,6 @@ __all__ = [
     "CoverFamily",
     "DirectedGraph",
     "EnumerationCapExceeded",
-    "EvolutionOperator",
     "LyndonTuple",
     "OrbitClass",
     "PseudoOrbit",
@@ -94,7 +92,6 @@ __all__ = [
     "VertexPorts",
     "VisitProfile",
     "admissible_subsets",
-    "amplitude",
     "build_binary_graph",
     "build_bond_scattering",
     "c_gamma",
@@ -120,6 +117,7 @@ __all__ = [
     "orient_four_regular",
     "primitive_orbits",
     "pseudo_orbit_record",
+    "read_graph",
     "riemann_siegel_residual",
     "sample_bond_lengths",
     "save_graph",

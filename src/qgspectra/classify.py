@@ -99,7 +99,7 @@ def classify_pseudo_orbit(graph: DirectedGraph, pseudo_orbit: PseudoOrbit) -> Or
     if profile.repeated_bonds:
         return OrbitClass("excluded", None, "repeated bond")
     if profile.higher_visits:
-        # unreachable for distinct bonds on a 2-in graph; kept for audit
+        # only on graphs with more than two bonds into a vertex
         return OrbitClass("excluded", None, "vertex passed three or more times")
     if profile.doubly_visited:
         return OrbitClass("PhatN", len(profile.doubly_visited))
@@ -250,16 +250,14 @@ def variance_from_classes(counts: ClassCounts) -> Fraction:
     return Fraction(total, 2**counts.n)
 
 
-def exact_variance(
-    graph: DirectedGraph, n: int, cap: int = DEFAULT_CAP
-) -> Fraction:
+def exact_variance(graph: DirectedGraph, n: int) -> Fraction:
     """Exact variance of coefficient n; indices above B/2 use the mirror
     symmetry var(n) = var(B - n)."""
     B = graph.num_bonds
     if not 0 <= n <= B:
         raise ValueError(f"n must lie in 0..{B}")
     half = min(n, B - n)
-    return variance_from_classes(class_counts(graph, half, cap=cap))
+    return variance_from_classes(class_counts(graph, half))
 
 
 def c_gamma(

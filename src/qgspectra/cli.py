@@ -15,8 +15,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -31,6 +29,7 @@ from .graphs import (
     DirectedGraph,
     build_binary_graph,
     load_graph,
+    read_graph,
     save_graph,
     validate_graph,
 )
@@ -51,17 +50,7 @@ SUBSET_LIMIT = 2_000_000  # above this many minors, the oracle reports n/a
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return "n/a"
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _exhaustive_feasible(B: int, n: int, limit: int = SUBSET_LIMIT) -> bool:
-    return math.comb(B, min(n, B - n)) <= limit
+    return "n/a" if value is None else str(value)
 
 
 def graph_sha256(graph: DirectedGraph) -> str:
@@ -73,15 +62,15 @@ def graph_sha256(graph: DirectedGraph) -> str:
 
 
 def _resolve_graph(args) -> DirectedGraph:
-    if getattr(args, "graph_file", None):
+    if args.graph_file:
         return load_graph(args.graph_file)
-    if getattr(args, "p", None) is not None and getattr(args, "r", None) is not None:
+    if args.p is not None and args.r is not None:
         return build_binary_graph(args.p, args.r)
     raise ValueError("provide --graph-file, or both --p and --r")
 
 
 def _resolve_lengths(args, graph: DirectedGraph):
-    if getattr(args, "graph_file", None):
+    if args.graph_file:
         stored = load_lengths(args.graph_file)
         if stored is not None:
             if len(stored) != graph.num_bonds:
@@ -90,19 +79,19 @@ def _resolve_lengths(args, graph: DirectedGraph):
     return sample_bond_lengths(graph, args.seed)
 
 
+def _checked_index(n: int, B: int) -> int:
+    if not 0 <= n <= B:
+        raise ValueError(f"coefficient index {n} outside 0..{B}")
+    return n
+
+
 def _index_range(args, B: int) -> list[int]:
-    n = getattr(args, "n", None)
-    n_max = getattr(args, "n_max", None)
-    if n is not None and n_max is not None:
+    if args.n is not None and args.n_max is not None:
         raise ValueError("give --n or --n-max, not both")
-    if n is not None:
-        ns = [n]
-    else:
-        ns = list(range((B // 2 if n_max is None else n_max) + 1))
-    for n_i in ns:
-        if not 0 <= n_i <= B:
-            raise ValueError(f"coefficient index {n_i} outside 0..{B}")
-    return ns
+    if args.n is not None:
+        return [_checked_index(args.n, B)]
+    n_max = B // 2 if args.n_max is None else args.n_max
+    return list(range(_checked_index(n_max, B) + 1))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -126,12 +115,7 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 
 
 def _config_echo(args) -> dict:
-    skip = {"func"}
-    return {
-        key: value
-        for key, value in sorted(vars(args).items())
-        if key not in skip and not callable(value)
-    }
+    return {key: value for key, value in sorted(vars(args).items()) if key != "func"}
 
 
 # --- graph ------------------------------------------------------------
@@ -151,23 +135,20 @@ def cmd_graph_gen(args) -> int:
 
 
 def cmd_graph_validate(args) -> int:
-    data = json.loads(Path(args.graph_file).read_text())
-    bonds = tuple((int(u), int(v)) for u, v in data["bonds"])
-    graph = DirectedGraph(int(data["V"]), bonds)
+    graph = read_graph(args.graph_file)
     report = validate_graph(graph)
     problems = list(report.problems)
-    if list(bonds) != sorted(bonds):
+    if list(graph.bonds) != sorted(graph.bonds):
         problems.append("bond list is not in canonical (origin, terminus) order")
-    passed = report.passed and len(problems) == len(report.problems)
     payload = {
         "four_regular": report.four_regular,
         "strongly_connected": report.strongly_connected,
         "bond_count_ok": report.bond_count_ok,
-        "passed": passed,
+        "passed": not problems,
         "problems": problems,
     }
     _emit(json.dumps(payload, indent=1) + "\n", args.out)
-    return EXIT_OK if passed else EXIT_CONFIG
+    return EXIT_OK if not problems else EXIT_CONFIG
 
 
 # --- orbits -----------------------------------------------------------
@@ -222,32 +203,48 @@ def cmd_variance_oracle(args) -> int:
     return EXIT_OK
 
 
-def cmd_variance_mc(args) -> int:
-    graph = _resolve_graph(args)
+def _cross_check(args, graph: DirectedGraph):
+    """Every route at each requested n, timed route by route.
+
+    Returns ``(rows, timings)`` with one ``(n, census, exact, oracle,
+    estimate)`` row per n.  The census is None above B/2, where the exact
+    value comes from the mirror n -> B - n; the oracle is None where it
+    would need more than ``SUBSET_LIMIT`` minors.
+    """
     B = graph.num_bonds
     ns = _index_range(args, B)
     S = build_bond_scattering(graph)
     lengths = _resolve_lengths(args, graph)
+
+    t0 = time.perf_counter()
+    census = {n: class_counts(graph, n) for n in ns if n <= B // 2}
+    exact = [
+        variance_from_classes(census[n]) if n in census else exact_variance(graph, n)
+        for n in ns
+    ]
+    t1 = time.perf_counter()
+    oracle = [
+        minor_sum_variance(S, n) if math.comb(B, min(n, B - n)) <= SUBSET_LIMIT else None
+        for n in ns
+    ]
+    t2 = time.perf_counter()
     estimates = mc_variance(
         S, lengths, ns, args.samples, args.seed, args.kmax, threads=args.threads
     )
-    rows = []
-    for est in estimates:
-        exact = float(exact_variance(graph, est.n))
-        oracle = minor_sum_variance(S, est.n) if _exhaustive_feasible(B, est.n) else None
-        rows.append(
-            [
-                _fmt(est.n),
-                _fmt(exact),
-                _fmt(oracle),
-                _fmt(est.mean),
-                _fmt(est.std_error),
-                _fmt(est.samples),
-                _fmt(est.seed),
-            ]
-        )
+    t3 = time.perf_counter()
+    rows = list(zip(ns, map(census.get, ns), exact, oracle, estimates))
+    return rows, {"exact_s": t1 - t0, "oracle_s": t2 - t1, "mc_s": t3 - t2}
+
+
+def cmd_variance_mc(args) -> int:
+    rows, _ = _cross_check(args, _resolve_graph(args))
     header = ["n", "exact", "oracle", "mc_mean", "mc_stderr", "samples", "seed"]
-    _emit(_csv_text(header, rows), args.out)
+    table = [
+        [_fmt(v) for v in (n, float(exact), oracle, est.mean, est.std_error,
+                           est.samples, est.seed)]
+        for n, _, exact, oracle, est in rows
+    ]
+    _emit(_csv_text(header, table), args.out)
     return EXIT_OK
 
 
@@ -265,107 +262,6 @@ def cmd_variance_diagonal(args) -> int:
 
 
 # --- reports ----------------------------------------------------------
-
-
-@dataclass
-class TableResult:
-    header: list[str]
-    rows: list[list[str]]
-    exit_code: int
-    sidecar: dict
-
-    @property
-    def csv_text(self) -> str:
-        return _csv_text(self.header, self.rows)
-
-
-def run_table_report(args) -> TableResult:
-    t_start = time.perf_counter()
-    graph = _resolve_graph(args)
-    B = graph.num_bonds
-    ns = _index_range(args, B)
-    S = build_bond_scattering(graph)
-    lengths = _resolve_lengths(args, graph)
-    timings: dict[str, float] = {}
-
-    t0 = time.perf_counter()
-    counts_by_n = {}
-    exact_by_n = {}
-    for n in ns:
-        if n <= B // 2:
-            counts_by_n[n] = class_counts(graph, n)
-            exact_by_n[n] = variance_from_classes(counts_by_n[n])
-        else:
-            exact_by_n[n] = exact_variance(graph, n)  # mirrored; no census shown
-    timings["exact_s"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    oracle_by_n = {
-        n: minor_sum_variance(S, n) if _exhaustive_feasible(B, n) else None
-        for n in ns
-    }
-    timings["oracle_s"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    estimates = {
-        e.n: e
-        for e in mc_variance(
-            S, lengths, ns, args.samples, args.seed, args.kmax, threads=args.threads
-        )
-    }
-    timings["mc_s"] = time.perf_counter() - t0
-
-    max_encounters = max(
-        (max(c.phat, default=0) for c in counts_by_n.values()), default=0
-    )
-    header = (
-        ["n", "p0"]
-        + [f"phat{N}" for N in range(1, max_encounters + 1)]
-        + ["exact_fraction", "exact", "oracle", "mc_mean", "mc_stderr", "abs_error"]
-    )
-    rows = []
-    for n in ns:
-        counts = counts_by_n.get(n)
-        exact = exact_by_n[n]
-        est = estimates[n]
-        abs_error = abs(est.mean - float(exact))
-        row = [_fmt(n), _fmt(counts.p0 if counts else None)]
-        for N in range(1, max_encounters + 1):
-            row.append(_fmt(counts.phat.get(N, 0) if counts else None))
-        row += [
-            _fmt(exact),
-            _fmt(float(exact)),
-            _fmt(oracle_by_n[n]),
-            _fmt(est.mean),
-            _fmt(est.std_error),
-            _fmt(abs_error),
-        ]
-        rows.append(row)
-
-    exit_code = EXIT_OK
-    for n in ns:
-        oracle = oracle_by_n[n]
-        if oracle is not None and abs(float(exact_by_n[n]) - oracle) > ORACLE_TOL:
-            exit_code = EXIT_ORACLE_MISMATCH
-            break
-    if exit_code == EXIT_OK and getattr(args, "expect", None):
-        if _reference_mismatches(args.expect, header, rows):
-            exit_code = EXIT_TABLE_MISMATCH
-    if exit_code == EXIT_OK:
-        for n in ns:
-            est = estimates[n]
-            if abs(est.mean - float(exact_by_n[n])) > max(args.mc_tol, 3 * est.std_error):
-                exit_code = EXIT_MC_DIVERGED
-                break
-
-    timings["total_s"] = time.perf_counter() - t_start
-    sidecar = {
-        "version": __version__,
-        "config": _config_echo(args),
-        "graph_sha256": graph_sha256(graph),
-        "timings": timings,
-    }
-    return TableResult(header=header, rows=rows, exit_code=exit_code, sidecar=sidecar)
 
 
 def _reference_mismatches(path: str, header: list[str], rows: list[list[str]]) -> list[str]:
@@ -392,10 +288,54 @@ def _reference_mismatches(path: str, header: list[str], rows: list[list[str]]) -
 
 
 def cmd_report_table(args) -> int:
-    result = run_table_report(args)
-    _emit(result.csv_text, args.out)
-    _write_sidecar(args.out, result.sidecar)
-    return result.exit_code
+    t_start = time.perf_counter()
+    graph = _resolve_graph(args)
+    rows, timings = _cross_check(args, graph)
+
+    max_encounters = max(
+        (max(counts.phat, default=0) for _, counts, *_ in rows if counts), default=0
+    )
+    header = (
+        ["n", "p0"]
+        + [f"phat{N}" for N in range(1, max_encounters + 1)]
+        + ["exact_fraction", "exact", "oracle", "mc_mean", "mc_stderr", "abs_error"]
+    )
+    table = []
+    for n, counts, exact, oracle, est in rows:
+        row = [_fmt(n), _fmt(counts.p0 if counts else None)]
+        for N in range(1, max_encounters + 1):
+            row.append(_fmt(counts.phat.get(N, 0) if counts else None))
+        row += [
+            _fmt(v)
+            for v in (exact, float(exact), oracle, est.mean, est.std_error,
+                      abs(est.mean - float(exact)))
+        ]
+        table.append(row)
+
+    if any(o is not None and abs(float(e) - o) > ORACLE_TOL for _, _, e, o, _ in rows):
+        exit_code = EXIT_ORACLE_MISMATCH
+    elif args.expect and _reference_mismatches(args.expect, header, table):
+        exit_code = EXIT_TABLE_MISMATCH
+    elif any(
+        abs(est.mean - float(e)) > max(args.mc_tol, 3 * est.std_error)
+        for _, _, e, _, est in rows
+    ):
+        exit_code = EXIT_MC_DIVERGED
+    else:
+        exit_code = EXIT_OK
+
+    timings["total_s"] = time.perf_counter() - t_start
+    _emit(_csv_text(header, table), args.out)
+    _write_sidecar(
+        args.out,
+        {
+            "version": __version__,
+            "config": _config_echo(args),
+            "graph_sha256": graph_sha256(graph),
+            "timings": timings,
+        },
+    )
+    return exit_code
 
 
 def cmd_report_convergence(args) -> int:
@@ -407,23 +347,14 @@ def cmd_report_convergence(args) -> int:
     for r in r_values:
         graph = build_binary_graph(1, r)
         B = graph.num_bonds
-        n = args.n if args.n is not None else B // 2
-        if not 0 <= n <= B:
-            raise ValueError(f"coefficient index {n} outside 0..{B}")
+        n = _checked_index(B // 2 if args.n is None else args.n, B)
         S = build_bond_scattering(graph)
         lengths = sample_bond_lengths(graph, args.seed)
         est = mc_variance(
             S, lengths, [n], args.samples, args.seed, args.kmax, threads=args.threads
         )[0]
         rows.append(
-            [
-                _fmt(r),
-                _fmt(B),
-                _fmt(n),
-                _fmt(est.mean),
-                _fmt(est.std_error),
-                _fmt(abs(est.mean - 0.5)),
-            ]
+            [_fmt(v) for v in (r, B, n, est.mean, est.std_error, abs(est.mean - 0.5))]
         )
     header = ["r", "B", "n", "mc_mean", "mc_stderr", "abs_dev_from_half"]
     _emit(_csv_text(header, rows), args.out)

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,9 @@ def validate_graph(graph: DirectedGraph) -> ValidationReport:
         problems.append(
             f"{graph.num_bonds} bonds on {graph.vertex_count} vertices (want B = 2V)"
         )
-    strongly_connected = _reaches_all(graph, forward=True) and _reaches_all(
-        graph, forward=False
+    V = graph.vertex_count
+    strongly_connected = _reaches_all(V, graph.bonds) and _reaches_all(
+        V, [(v, u) for u, v in graph.bonds]
     )
     if not strongly_connected:
         problems.append("graph is not strongly connected")
@@ -129,13 +130,11 @@ def validate_graph(graph: DirectedGraph) -> ValidationReport:
     )
 
 
-def _reaches_all(graph: DirectedGraph, forward: bool) -> bool:
-    adjacency: list[list[int]] = [[] for _ in range(graph.vertex_count)]
-    for u, v in graph.bonds:
-        if forward:
-            adjacency[u].append(v)
-        else:
-            adjacency[v].append(u)
+def _reaches_all(vertex_count: int, arcs: Iterable[tuple[int, int]]) -> bool:
+    """Whether every vertex can be reached from vertex 0 along the arcs."""
+    adjacency: list[list[int]] = [[] for _ in range(vertex_count)]
+    for u, v in arcs:
+        adjacency[u].append(v)
     seen = {0}
     queue = deque([0])
     while queue:
@@ -144,7 +143,7 @@ def _reaches_all(graph: DirectedGraph, forward: bool) -> bool:
             if y not in seen:
                 seen.add(y)
                 queue.append(y)
-    return len(seen) == graph.vertex_count
+    return len(seen) == vertex_count
 
 
 def build_binary_graph(p: int, r: int) -> DirectedGraph:
@@ -200,7 +199,7 @@ def orient_four_regular(
     bad = [v for v in range(vertex_count) if degree[v] != 4]
     if bad:
         raise ValueError(f"vertices {bad} do not have undirected degree 4")
-    if not _connected_undirected(vertex_count, edge_list):
+    if not _reaches_all(vertex_count, edge_list + [(v, u) for u, v in edge_list]):
         raise ValueError("graph is not connected")
 
     # Hierholzer: each edge is consumed once and oriented in the direction
@@ -230,22 +229,6 @@ def orient_four_regular(
     return graph
 
 
-def _connected_undirected(vertex_count: int, edges: Sequence[tuple[int, int]]) -> bool:
-    adjacency: list[list[int]] = [[] for _ in range(vertex_count)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for y in adjacency[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == vertex_count
-
-
 def save_graph(graph: DirectedGraph, path: str | Path, lengths=None) -> None:
     """Write a graph (and optionally its bond lengths) as JSON.
 
@@ -264,17 +247,23 @@ def save_graph(graph: DirectedGraph, path: str | Path, lengths=None) -> None:
     Path(path).write_text(json.dumps(payload, indent=1) + "\n")
 
 
-def load_graph(path: str | Path) -> DirectedGraph:
-    """Read a graph JSON file, enforcing canonical bond order and validity."""
+def read_graph(path: str | Path) -> DirectedGraph:
+    """Parse a graph JSON file as written; bond order and validity are not
+    checked (see :func:`load_graph`)."""
     data = json.loads(Path(path).read_text())
     try:
         vertex_count = int(data["V"])
         bonds = tuple((int(u), int(v)) for u, v in data["bonds"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph file {path}: {exc}") from exc
-    if list(bonds) != sorted(bonds):
+    return DirectedGraph(vertex_count, bonds)
+
+
+def load_graph(path: str | Path) -> DirectedGraph:
+    """Read a graph JSON file, enforcing canonical bond order and validity."""
+    graph = read_graph(path)
+    if list(graph.bonds) != sorted(graph.bonds):
         raise ValueError(f"{path}: bond list is not in canonical (origin, terminus) order")
-    graph = DirectedGraph(vertex_count, bonds)
     report = validate_graph(graph)
     if not report.passed:
         raise ValueError(f"{path}: invalid graph: " + "; ".join(report.problems))

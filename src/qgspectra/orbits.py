@@ -123,16 +123,6 @@ def make_pseudo_orbit(
     )
 
 
-def amplitude(graph: DirectedGraph, pseudo_orbit: PseudoOrbit) -> tuple[float, int]:
-    """Recompute (A, m) for a pseudo orbit straight from the sign convention."""
-    sign = 1
-    n = 0
-    for orbit in pseudo_orbit.orbits:
-        sign *= _orbit_sign(graph, orbit)
-        n += len(orbit)
-    return sign * 2.0 ** (-n / 2.0), pseudo_orbit.orbit_count
-
-
 def admissible_subsets(graph: DirectedGraph, n: int) -> Iterator[tuple[int, ...]]:
     """Yield the n-bond subsets balanced at every vertex (in = out).
 

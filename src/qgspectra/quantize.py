@@ -18,6 +18,7 @@ import numpy as np
 from .graphs import DirectedGraph, VertexPorts, validate_graph, vertex_ports
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+LENGTH_INTERVAL = (1.0, 2.0)  # [low, high) of sampled bond lengths
 
 
 def dft_vertex_matrix() -> np.ndarray:
@@ -91,7 +92,11 @@ def build_bond_scattering(graph: DirectedGraph) -> BondScattering:
 
 @dataclass(frozen=True, eq=False)
 class BondLengths:
-    """Positive, pairwise-distinct bond lengths (the diagonal of L)."""
+    """Finite, positive, pairwise-distinct bond lengths (the diagonal of L).
+
+    Infinite or NaN entries are rejected here rather than inside the
+    eigenvalue solver.
+    """
 
     values: np.ndarray
 
@@ -99,6 +104,8 @@ class BondLengths:
         values = np.asarray(self.values, dtype=float).copy()
         if values.ndim != 1 or values.size == 0:
             raise ValueError("lengths must form a nonempty 1-d vector")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("lengths must be finite")
         if not np.all(values > 0):
             raise ValueError("lengths must be strictly positive")
         if np.unique(values).size != values.size:
@@ -110,22 +117,18 @@ class BondLengths:
         return int(self.values.size)
 
 
-def sample_bond_lengths(
-    graph: DirectedGraph, seed: int, interval: tuple[float, float] = (1.0, 2.0)
-) -> BondLengths:
-    """Draw B i.i.d. uniform lengths from [low, high); deterministic in seed.
+def sample_bond_lengths(graph: DirectedGraph, seed: int) -> BondLengths:
+    """Draw B i.i.d. uniform lengths from ``LENGTH_INTERVAL``; deterministic
+    in seed.
 
     Rational relations between machine reals are measure zero; exact
     collisions, the one case that matters downstream, are removed by
     resampling (itself part of the deterministic stream).
     """
-    low, high = float(interval[0]), float(interval[1])
-    if not (0 < low < high):
-        raise ValueError("interval must satisfy 0 < low < high")
     rng = np.random.default_rng(seed)
-    values = rng.uniform(low, high, graph.num_bonds)
+    values = rng.uniform(*LENGTH_INTERVAL, graph.num_bonds)
     while np.unique(values).size != values.size:  # astronomically rare
-        values = rng.uniform(low, high, graph.num_bonds)
+        values = rng.uniform(*LENGTH_INTERVAL, graph.num_bonds)
     return BondLengths(values=values)
 
 
@@ -143,18 +146,3 @@ def evolution_operator(S: BondScattering, lengths: BondLengths, k: float) -> np.
         raise ValueError("scattering matrix and length vector disagree on the bond count")
     phases = np.exp(1j * float(k) * lengths.values)
     return S.matrix * phases[np.newaxis, :]
-
-
-@dataclass(frozen=True, eq=False)
-class EvolutionOperator:
-    """Callable k -> U(k), bundling a scattering matrix with bond lengths."""
-
-    scattering: BondScattering
-    lengths: BondLengths
-
-    def __post_init__(self) -> None:
-        if len(self.lengths) != self.scattering.num_bonds:
-            raise ValueError("scattering matrix and length vector disagree on the bond count")
-
-    def __call__(self, k: float) -> np.ndarray:
-        return evolution_operator(self.scattering, self.lengths, k)

@@ -12,7 +12,7 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -126,14 +126,21 @@ def mc_variance(
     bias on top of it that depends on the bond lengths and can reach
     several standard errors for particular length draws, so comparisons
     against exact values allow four standard errors rather than three.
+
+    Raises ValueError unless ``k_max`` is positive and finite, ``threads``
+    is at least 1 and ``batch_size`` is None or at least 1.
     """
     B = S.num_bonds
     if len(lengths) != B:
         raise ValueError("scattering matrix and length vector disagree on the bond count")
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    if not k_max > 0:
-        raise ValueError("k_max must be positive")
+    if not (k_max > 0 and math.isfinite(k_max)):
+        raise ValueError("k_max must be positive and finite")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    if batch_size is not None and batch_size < 1:
+        raise ValueError("batch_size must be at least 1 (or None)")
     if S.unitarity_defect() > _UNITARITY_GATE:
         raise ValueError("scattering matrix is not unitary")
     ns = sorted(range(B + 1) if n_set is None else {int(n) for n in n_set})
@@ -236,8 +243,3 @@ def minor_sum_variance(S: BondScattering, n: int) -> float:
         minors = S.matrix[idx[:, :, np.newaxis], idx[:, np.newaxis, :]]
         total += float(np.sum(np.abs(np.linalg.det(minors)) ** 2))
     return total
-
-
-def exhaustive_minor_count(B: int, n: int) -> int:
-    """Number of principal minors the oracle would visit."""
-    return math.comb(B, n)

@@ -58,6 +58,15 @@ def test_visit_profile_with_encounter(binary6):
     assert profile.higher_visits == ()
 
 
+def test_higher_visits_on_three_in_graph():
+    # reachable only off the 2-in/2-out graphs: three loops at one vertex
+    graph = DirectedGraph(1, ((0, 0),) * 3)
+    po = make_pseudo_orbit(graph, [(0,), (1,), (2,)])
+    assert visit_profile(graph, po).higher_visits == (0,)
+    tag = classify_pseudo_orbit(graph, po)
+    assert (tag.kind, tag.reason) == ("excluded", "vertex passed three or more times")
+
+
 def test_visit_profile_with_repeated_bond(binary6):
     po = make_pseudo_orbit(binary6, [(0,), (0, 1, 3, 6)])
     profile = visit_profile(binary6, po)

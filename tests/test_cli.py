@@ -2,8 +2,11 @@
 
 import csv
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +159,20 @@ def test_exact_column_beyond_oracle_limit(tmp_path):
     assert sum(int(row[f"phat{N}"]) for N in range(1, 6)) == 3648
 
 
+@pytest.mark.parametrize("n", [4, 10])
+def test_variance_mc_and_report_table_share_one_computation(tmp_path, n):
+    common = ["--p", "3", "--r", "1", "--n", str(n), "--samples", "500", "--seed", "7"]
+    assert main(["variance", "mc", *common, "--out", str(tmp_path / "mc.csv")]) == EXIT_OK
+    assert main(["report", "table", *common, "--mc-tol", "1",
+                 "--out", str(tmp_path / "table.csv")]) == EXIT_OK
+    (mc,) = _read_csv(tmp_path / "mc.csv")
+    (table,) = _read_csv(tmp_path / "table.csv")
+    for column in ("exact", "oracle", "mc_mean", "mc_stderr"):
+        assert mc[column] == table[column]
+    if n == 10:  # above B/2: the exact value is mirrored and no census is shown
+        assert (table["p0"], table["exact_fraction"]) == ("n/a", "3/4")
+
+
 def test_variance_diagonal_csv(tmp_path):
     out = tmp_path / "diag.csv"
     assert main(["variance", "diagonal", "--p", "3", "--r", "1", "--n", "2",
@@ -256,12 +273,28 @@ def test_config_error_exits(tmp_path, capsys):
     assert main(["orbits", "enumerate", "--p", "3", "--r", "1"]) == EXIT_CONFIG
     assert main(["no-such-command"]) == EXIT_CONFIG
     assert main(["report", "convergence", "--r", "0"]) == EXIT_CONFIG
+    assert main(["report", "table", "--p", "3", "--r", "1", "--n-max", "-1"]) == EXIT_CONFIG
+    assert main(["variance", "mc", "--p", "3", "--r", "1", "--n", "2",
+                 "--kmax", "inf"]) == EXIT_CONFIG
+    assert main(["report", "convergence", "--r", "2", "--kmax", "inf"]) == EXIT_CONFIG
+    assert main(["variance", "mc", "--p", "3", "--r", "1", "--n", "2",
+                 "--threads", "-3"]) == EXIT_CONFIG
     capsys.readouterr()
 
 
 def test_cap_exit():
     assert main(["orbits", "enumerate", "--p", "1", "--r", "3", "--n", "6",
                  "--mode", "general", "--cap", "10"]) == EXIT_CAP
+
+
+def test_module_entry_point_help():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgspectra.cli", "--help"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0
+    assert "report" in proc.stdout
 
 
 @pytest.mark.skipif(shutil.which("qgspectra") is None, reason="script not on PATH")

@@ -84,10 +84,8 @@ def test_make_pseudo_orbit_rejects_duplicates(debruijn8):
 
 def test_amplitude_magnitude(debruijn8):
     po = make_pseudo_orbit(debruijn8, [(5, 10)])
-    amp, m = q.amplitude(debruijn8, po)
-    assert m == 1
-    assert abs(amp) == pytest.approx(0.5)
-    assert amp == pytest.approx(po.amplitude)
+    assert po.orbit_count == 1
+    assert abs(po.amplitude) == pytest.approx(0.5)
 
 
 def test_admissible_subsets_match_bruteforce(binary6):

@@ -10,7 +10,6 @@ from qgspectra.graphs import vertex_ports
 from qgspectra.quantize import BondScattering, evolution_operator
 from qgspectra.spectral import (
     char_poly_coefficients,
-    exhaustive_minor_count,
     mc_variance,
     minor_sum_variance,
     riemann_siegel_residual,
@@ -130,6 +129,20 @@ def test_mc_rejects_bad_arguments(binary6, scattering6, lengths6, lengths8):
         mc_variance(shrunk, lengths6, [0], samples=10, seed=0)
 
 
+@pytest.mark.parametrize(
+    "setting, match",
+    [
+        ({"k_max": math.inf}, "finite"),
+        ({"threads": 0}, "threads"),
+        ({"threads": -3}, "threads"),
+        ({"batch_size": 0}, "batch_size"),
+    ],
+)
+def test_mc_rejects_unusable_settings(scattering6, lengths6, setting, match):
+    with pytest.raises(ValueError, match=match):
+        mc_variance(scattering6, lengths6, [0], samples=10, seed=0, **setting)
+
+
 def test_subset_contribution_cases(debruijn8, scattering8):
     value, N = subset_contribution(scattering8, ())
     assert (value, N) == (1.0, 0)
@@ -157,8 +170,3 @@ def test_minor_sum_spot_checks_debruijn8(debruijn8, scattering8):
         assert oracle == pytest.approx(float(q.exact_variance(debruijn8, n)), abs=1e-12)
     with pytest.raises(ValueError):
         minor_sum_variance(scattering8, 17)
-
-
-def test_exhaustive_minor_count():
-    assert exhaustive_minor_count(16, 8) == math.comb(16, 8)
-    assert exhaustive_minor_count(12, 0) == 1
