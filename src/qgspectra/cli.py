@@ -28,13 +28,14 @@ from .classify import (
 from .graphs import (
     DirectedGraph,
     build_binary_graph,
+    graph_from_json,
     load_graph,
     read_graph,
     save_graph,
     validate_graph,
 )
 from .orbits import DEFAULT_CAP, EnumerationCapExceeded, enumerate_pseudo_orbits
-from .quantize import build_bond_scattering, load_lengths, sample_bond_lengths
+from .quantize import build_bond_scattering, lengths_from_json, sample_bond_lengths
 from .spectral import DEFAULT_K_MAX, mc_variance, minor_sum_variance
 
 EXIT_OK = 0
@@ -69,14 +70,21 @@ def _resolve_graph(args) -> DirectedGraph:
     raise ValueError("provide --graph-file, or both --p and --r")
 
 
-def _resolve_lengths(args, graph: DirectedGraph):
+def _resolve_graph_and_lengths(args):
+    """The graph and its bond lengths: the ones stored in --graph-file,
+    parsed once with the graph, else drawn from --seed."""
+    stored = None
     if args.graph_file:
-        stored = load_lengths(args.graph_file)
-        if stored is not None:
-            if len(stored) != graph.num_bonds:
-                raise ValueError("stored lengths do not match the bond count")
-            return stored
-    return sample_bond_lengths(graph, args.seed)
+        data = json.loads(Path(args.graph_file).read_text())
+        graph = graph_from_json(data, args.graph_file)
+        stored = lengths_from_json(data)
+    else:
+        graph = _resolve_graph(args)
+    if stored is None:
+        return graph, sample_bond_lengths(graph, args.seed)
+    if len(stored) != graph.num_bonds:
+        raise ValueError("stored lengths do not match the bond count")
+    return graph, stored
 
 
 def _checked_index(n: int, B: int) -> int:
@@ -203,7 +211,7 @@ def cmd_variance_oracle(args) -> int:
     return EXIT_OK
 
 
-def _cross_check(args, graph: DirectedGraph):
+def _cross_check(args, graph: DirectedGraph, lengths):
     """Every route at each requested n, timed route by route.
 
     Returns ``(rows, timings)`` with one ``(n, census, exact, oracle,
@@ -214,7 +222,6 @@ def _cross_check(args, graph: DirectedGraph):
     B = graph.num_bonds
     ns = _index_range(args, B)
     S = build_bond_scattering(graph)
-    lengths = _resolve_lengths(args, graph)
 
     t0 = time.perf_counter()
     census = {n: class_counts(graph, n) for n in ns if n <= B // 2}
@@ -237,7 +244,7 @@ def _cross_check(args, graph: DirectedGraph):
 
 
 def cmd_variance_mc(args) -> int:
-    rows, _ = _cross_check(args, _resolve_graph(args))
+    rows, _ = _cross_check(args, *_resolve_graph_and_lengths(args))
     header = ["n", "exact", "oracle", "mc_mean", "mc_stderr", "samples", "seed"]
     table = [
         [_fmt(v) for v in (n, float(exact), oracle, est.mean, est.std_error,
@@ -289,8 +296,8 @@ def _reference_mismatches(path: str, header: list[str], rows: list[list[str]]) -
 
 def cmd_report_table(args) -> int:
     t_start = time.perf_counter()
-    graph = _resolve_graph(args)
-    rows, timings = _cross_check(args, graph)
+    graph, lengths = _resolve_graph_and_lengths(args)
+    rows, timings = _cross_check(args, graph, lengths)
 
     max_encounters = max(
         (max(counts.phat, default=0) for _, counts, *_ in rows if counts), default=0

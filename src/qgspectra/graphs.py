@@ -247,24 +247,33 @@ def save_graph(graph: DirectedGraph, path: str | Path, lengths=None) -> None:
     Path(path).write_text(json.dumps(payload, indent=1) + "\n")
 
 
-def read_graph(path: str | Path) -> DirectedGraph:
-    """Parse a graph JSON file as written; bond order and validity are not
-    checked (see :func:`load_graph`)."""
-    data = json.loads(Path(path).read_text())
+def _graph_as_written(data, source: str | Path) -> DirectedGraph:
     try:
         vertex_count = int(data["V"])
         bonds = tuple((int(u), int(v)) for u, v in data["bonds"])
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed graph file {path}: {exc}") from exc
+        raise ValueError(f"malformed graph file {source}: {exc}") from exc
     return DirectedGraph(vertex_count, bonds)
+
+
+def read_graph(path: str | Path) -> DirectedGraph:
+    """Parse a graph JSON file as written; bond order and validity are not
+    checked (see :func:`load_graph`)."""
+    return _graph_as_written(json.loads(Path(path).read_text()), path)
+
+
+def graph_from_json(data, source: str | Path) -> DirectedGraph:
+    """The graph of an already parsed graph file, enforcing canonical bond
+    order and validity; ``source`` names the file in error messages."""
+    graph = _graph_as_written(data, source)
+    if list(graph.bonds) != sorted(graph.bonds):
+        raise ValueError(f"{source}: bond list is not in canonical (origin, terminus) order")
+    report = validate_graph(graph)
+    if not report.passed:
+        raise ValueError(f"{source}: invalid graph: " + "; ".join(report.problems))
+    return graph
 
 
 def load_graph(path: str | Path) -> DirectedGraph:
     """Read a graph JSON file, enforcing canonical bond order and validity."""
-    graph = read_graph(path)
-    if list(graph.bonds) != sorted(graph.bonds):
-        raise ValueError(f"{path}: bond list is not in canonical (origin, terminus) order")
-    report = validate_graph(graph)
-    if not report.passed:
-        raise ValueError(f"{path}: invalid graph: " + "; ".join(report.problems))
-    return graph
+    return graph_from_json(json.loads(Path(path).read_text()), path)

@@ -132,12 +132,16 @@ def sample_bond_lengths(graph: DirectedGraph, seed: int) -> BondLengths:
     return BondLengths(values=values)
 
 
-def load_lengths(path: str | Path) -> BondLengths | None:
-    """Read the optional ``"lengths"`` entry of a graph JSON file."""
-    data = json.loads(Path(path).read_text())
+def lengths_from_json(data) -> BondLengths | None:
+    """The optional ``"lengths"`` entry of an already parsed graph file."""
     if "lengths" not in data:
         return None
     return BondLengths(values=np.asarray(data["lengths"], dtype=float))
+
+
+def load_lengths(path: str | Path) -> BondLengths | None:
+    """Read the optional ``"lengths"`` entry of a graph JSON file."""
+    return lengths_from_json(json.loads(Path(path).read_text()))
 
 
 def evolution_operator(S: BondScattering, lengths: BondLengths, k: float) -> np.ndarray:

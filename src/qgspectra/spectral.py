@@ -20,6 +20,14 @@ from .quantize import BondLengths, BondScattering
 
 DEFAULT_K_MAX = 1e5
 _UNITARITY_GATE = 1e-6
+# Complex entries per stacked array (16 MB): sizes the default Monte Carlo
+# batch and the oracle's blocks of minors, which set the peak memory.
+_STACK_ELEMENTS = 1 << 20
+# Cayley route for unitary spectra (see _unitary_eigenvalues).
+_CAYLEY_ROTATION = 1.0  # rad; keeps -I and permutation matrices off the pole
+_CAYLEY_LIMIT = 1e3  # largest norm of the transform accepted
+_CAYLEY_STEP = 2.0  # rad; new rotation after a pass hit the pole exactly
+_CAYLEY_RETRIES = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,15 +70,86 @@ def _coefficients_from_eigenvalues(eigenvalues: np.ndarray) -> np.ndarray:
     return c[:, ::-1]
 
 
+def _cayley_spectrum(U: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a stack of unitary U and V = e^{i alpha} U: the ascending
+    eigenvalues mu of the Hermitian part of H = i (I + V)^-1 (I - V), and
+    the Frobenius norm of (I + V)^-1 (I - V) per row.
+
+    With W = (I + V)^-1, (I + V)^-1 (I - V) = 2W - I, so one inverse gives
+    H and its Hermitian part i (W - W^H), and no stack for I - V is needed.
+    The norm (taken as that of 2W) bounds max |mu| and also shows a pole
+    that mu can miss: near a singular I + V the error in W is large, and
+    the part of it that i (W - W^H) discards can hold the pole.  A pass in
+    which some I + V was
+    exactly singular returns NaN and an infinite norm for every row; the
+    batched inverse cannot say which row it was.
+    """
+    diagonal = np.arange(U.shape[-1])
+    plus = U * np.exp(1j * alpha)[:, np.newaxis, np.newaxis]
+    plus[:, diagonal, diagonal] += 1.0
+    try:
+        W = np.linalg.inv(plus)
+        del plus
+        entries = W.view(np.float64).reshape(len(W), -1)
+        norm = 2.0 * np.sqrt(np.einsum("ij,ij->i", entries, entries))
+        W -= W.conj().swapaxes(1, 2)
+        W *= 1j
+        return np.linalg.eigvalsh(W), norm
+    except np.linalg.LinAlgError:
+        return np.full(U.shape[:2], np.nan), np.full(len(U), np.inf)
+
+
+def _gap_rotation(mu: np.ndarray) -> np.ndarray:
+    """Extra rotation that puts -1 in the middle of each row's widest
+    eigenphase gap; a fixed step for rows whose pass failed."""
+    phi = 2.0 * np.arctan(mu)  # eigenphases of V, ascending in [-pi, pi]
+    gaps = np.diff(phi, axis=1, append=phi[:, :1] + 2.0 * np.pi)
+    widest = np.argmax(gaps, axis=1)[:, np.newaxis]
+    middle = np.take_along_axis(phi + 0.5 * gaps, widest, axis=1)[:, 0]
+    return np.where(np.isfinite(middle), np.pi - middle, _CAYLEY_STEP)
+
+
+def _unitary_eigenvalues(U: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a stack (M, B, B) of unitary matrices, on the unit circle.
+
+    With V = e^{i alpha} U, the Cayley transform H = i (I + V)^-1 (I - V)
+    is Hermitian with eigenvalues mu = tan(phi / 2) for the eigenphases phi
+    of V, so a batched Hermitian solver finds them, several times faster
+    than the general ``eigvals``, and lambda = e^{-i alpha} (1 + i mu) /
+    (1 - i mu).  An eigenphase of V near pi makes the transform large, and
+    every eigenvalue of the row then carries an error of about eps times
+    its norm.  Rows whose norm exceeds the limit are solved again with -1
+    rotated into the middle of their widest eigenphase gap.  That gap is
+    at least 2 pi / B wide, so afterwards max |mu| < cot(pi / 2B) < B and
+    the norm is below B^1.5, which is why the limit is never lower.
+    Raises LinAlgError if rows still sit at the pole after the retries.
+    """
+    limit = max(_CAYLEY_LIMIT, U.shape[-1] ** 1.5)
+    alpha = np.full(len(U), _CAYLEY_ROTATION)
+    mu, norm = _cayley_spectrum(U, alpha)
+    rows = np.flatnonzero(~(norm <= limit))  # NaN-safe
+    for _ in range(_CAYLEY_RETRIES):
+        if rows.size == 0:
+            break
+        alpha[rows] += _gap_rotation(mu[rows])
+        mu[rows], norm = _cayley_spectrum(U[rows], alpha[rows])
+        rows = rows[~(norm <= limit)]
+    if rows.size:
+        raise np.linalg.LinAlgError("Cayley transform kept an eigenvalue at its pole")
+    return np.exp(-1j * alpha)[:, np.newaxis] * (1.0 + 1j * mu) / (1.0 - 1j * mu)
+
+
 def char_poly_coefficients(
     U: np.ndarray, k: float | None = None, require_unitary: bool = True
 ) -> CoefficientVector:
     """All B+1 coefficients of det(U - zeta I) via the eigenvalue product.
 
     Expanding from eigenvalues keeps every coefficient accurate even where
-    direct expansion of the determinant would lose digits.  Grossly
-    non-unitary input is rejected unless ``require_unitary`` is switched
-    off (useful only for negative controls).
+    direct expansion of the determinant would lose digits.  Unitary input
+    takes the Cayley-transform route of ``mc_variance``, whose eigenvalues
+    lie on the unit circle.  Grossly non-unitary input is rejected unless
+    ``require_unitary`` is switched off (useful only for negative
+    controls); the spectrum then comes from the general ``eigvals``.
     """
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
@@ -80,7 +159,9 @@ def char_poly_coefficients(
         defect = float(np.linalg.norm(U.conj().T @ U - np.eye(B)))
         if defect > _UNITARITY_GATE:
             raise ValueError(f"input is not unitary (defect {defect:.3e})")
-    eigenvalues = np.linalg.eigvals(U)
+        eigenvalues = _unitary_eigenvalues(U[np.newaxis])[0]
+    else:
+        eigenvalues = np.linalg.eigvals(U)
     values = _coefficients_from_eigenvalues(eigenvalues[np.newaxis, :])[0]
     return CoefficientVector(values=values, k=k)
 
@@ -104,6 +185,20 @@ class VarianceEstimate:
     k_max: float
 
 
+def _k_slice(seed: int, k_max: float, start: int, count: int) -> np.ndarray:
+    """Draws start .. start+count-1 of ``uniform(0, k_max, samples)`` on
+    ``Philox(key=seed)``, without drawing the ones before them.
+
+    Each Philox counter step yields four doubles, so the generator skips
+    ``start // 4`` steps and then discards ``start % 4`` doubles.
+    """
+    bit_generator = np.random.Philox(key=seed)
+    bit_generator.advance(start // 4)
+    rng = np.random.Generator(bit_generator)
+    rng.random(start % 4)
+    return rng.uniform(0.0, k_max, count)
+
+
 def mc_variance(
     S: BondScattering,
     lengths: BondLengths,
@@ -117,10 +212,15 @@ def mc_variance(
 ) -> list[VarianceEstimate]:
     """Average |a_n|^2 over k drawn uniformly from [0, k_max).
 
-    A counter-based generator keyed on ``seed`` fixes the k sample, and
-    per-batch partial sums are reduced in batch order, so results are
-    bit-identical for a given (samples, seed, k_max) regardless of thread
-    count.  Eigenvalue failures of individual batches propagate.
+    A counter-based generator keyed on ``seed`` fixes the k sample: each
+    batch draws its own slice of that one stream (see ``_k_slice``), so
+    memory does not grow with ``samples``.  Per-batch partial sums are
+    reduced in batch order, so results are bit-identical for a given
+    (samples, seed, k_max, batch_size) regardless of thread count.  The
+    default batch holds about 2^20 matrix entries.  Eigenvalues come from
+    the Hermitian Cayley transform of U(k) (``_unitary_eigenvalues``), not
+    the general ``eigvals``; eigenvalue failures of individual batches
+    propagate.
 
     ``std_error`` covers sampling noise only.  A finite ``k_max`` leaves a
     bias on top of it that depends on the bond lengths and can reach
@@ -147,20 +247,18 @@ def mc_variance(
     if ns and not (0 <= ns[0] and ns[-1] <= B):
         raise ValueError(f"coefficient indices must lie in 0..{B}")
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    ks = rng.uniform(0.0, float(k_max), samples)
     if batch_size is None:
-        batch_size = max(256, min(16384, 4_000_000 // (B * B)))
+        batch_size = max(1, _STACK_ELEMENTS // (B * B))
     starts = range(0, samples, batch_size)
 
     matrix = S.matrix
     length_values = lengths.values
 
     def run_batch(start: int) -> tuple[np.ndarray, np.ndarray]:
-        k_batch = ks[start : start + batch_size]
+        k_batch = _k_slice(seed, float(k_max), start, min(batch_size, samples - start))
         phases = np.exp(1j * np.outer(k_batch, length_values))
         U = matrix[np.newaxis, :, :] * phases[:, np.newaxis, :]
-        eigenvalues = np.linalg.eigvals(U)
+        eigenvalues = _unitary_eigenvalues(U)
         power = np.abs(_coefficients_from_eigenvalues(eigenvalues)) ** 2
         return power.sum(axis=0), (power * power).sum(axis=0)
 
@@ -225,14 +323,15 @@ def minor_sum_variance(S: BondScattering, n: int) -> float:
     """Oracle: sum_{|I|=n} |det S_I|^2 over all n-bond principal minors.
 
     Exhaustive over binomial(B, n) subsets, determinants evaluated in
-    batches; this is the incommensurate-lengths limit of the k-average.
+    blocks of about 2^20 matrix entries; this is the incommensurate-lengths
+    limit of the k-average.
     """
     B = S.num_bonds
     if not 0 <= n <= B:
         raise ValueError(f"n must lie in 0..{B}")
     if n == 0:
         return 1.0
-    chunk = max(1, 4_000_000 // (n * n))
+    chunk = max(1, _STACK_ELEMENTS // (n * n))
     total = 0.0
     combos = itertools.combinations(range(B), n)
     while True:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import qgspectra as q
 from qgspectra.cli import (
     EXIT_CAP,
     EXIT_CONFIG,
@@ -157,6 +158,22 @@ def test_exact_column_beyond_oracle_limit(tmp_path):
     row = _read_csv(out)[0]
     assert (row["p0"], row["exact_fraction"], row["oracle"]) == ("256", "145/256", "n/a")
     assert sum(int(row[f"phat{N}"]) for N in range(1, 6)) == 3648
+
+
+def test_variance_mc_parses_graph_file_once(tmp_path, monkeypatch, binary6):
+    stored = q.sample_bond_lengths(binary6, 5)
+    path = tmp_path / "g.json"
+    save_graph(binary6, path, lengths=stored)
+    calls = []
+    parse = json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(a) or parse(*a, **k))
+    out = tmp_path / "mc.csv"
+    assert main(["variance", "mc", "--graph-file", str(path), "--n", "2",
+                 "--samples", "64", "--seed", "9", "--out", str(out)]) == EXIT_OK
+    assert len(calls) == 1
+    (row,) = _read_csv(out)
+    (est,) = q.mc_variance(q.build_bond_scattering(binary6), stored, [2], samples=64, seed=9)
+    assert float(row["mc_mean"]) == est.mean  # the stored lengths, not --seed's
 
 
 @pytest.mark.parametrize("n", [4, 10])

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 import qgspectra as q
+from qgspectra import spectral
 from qgspectra.graphs import vertex_ports
 from qgspectra.quantize import BondScattering, evolution_operator
 from qgspectra.spectral import (
+    _coefficients_from_eigenvalues,
+    _k_slice,
+    _unitary_eigenvalues,
     char_poly_coefficients,
     mc_variance,
     minor_sum_variance,
@@ -76,6 +80,71 @@ def test_negative_control_coefficients():
     expected = [math.comb(4, n) * (-0.5) ** n for n in range(5)]
     assert co.values == pytest.approx(np.array(expected), abs=1e-12)
     assert riemann_siegel_residual(co) > 0.9  # symmetry needs unit modulus
+
+
+@pytest.mark.parametrize("p, r, count", [(1, 3, 64), (3, 2, 64), (1, 5, 64), (1, 6, 24)])
+def test_cayley_route_matches_eigvals(p, r, count):
+    # B = 16, 24, 64, 128: seeded MC batches through both eigen routes
+    graph = q.build_binary_graph(p, r)
+    S = q.build_bond_scattering(graph)
+    lengths = q.sample_bond_lengths(graph, 11)
+    ks = np.random.default_rng(r).uniform(0.0, 1e5, count)
+    U = S.matrix[np.newaxis] * np.exp(1j * np.outer(ks, lengths.values))[:, np.newaxis, :]
+    cayley = _coefficients_from_eigenvalues(_unitary_eigenvalues(U))
+    general = _coefficients_from_eigenvalues(np.linalg.eigvals(U))
+    assert np.max(np.abs(np.abs(cayley) ** 2 - np.abs(general) ** 2)) <= 1e-10
+    residual = np.abs(cayley - cayley[:, -1:] * np.conj(cayley[:, ::-1]))
+    assert np.max(residual) <= 1e-10
+
+
+def _passes(monkeypatch):
+    calls = []
+    one_pass = spectral._cayley_spectrum
+    monkeypatch.setattr(
+        spectral, "_cayley_spectrum", lambda U, alpha: calls.append(len(U)) or one_pass(U, alpha)
+    )
+    return calls
+
+
+def _assert_spectrum(U, reference):
+    eigenvalues = _unitary_eigenvalues(U[np.newaxis])[0]
+    assert np.abs(eigenvalues) == pytest.approx(np.ones(len(reference)), abs=1e-14)
+    assert np.poly(eigenvalues) == pytest.approx(np.poly(reference), abs=1e-12)
+
+
+def test_cayley_fallback_at_the_pole(monkeypatch):
+    # -e^{-i alpha0} is the eigenvalue that makes I + e^{i alpha0} U singular
+    pole = -np.exp(-1j * spectral._CAYLEY_ROTATION)
+    spectrum = np.array([pole, 1.0, 1j, -1.0, np.exp(0.3j), np.exp(-2.2j)])
+    Q = np.linalg.qr(np.random.default_rng(5).normal(size=(6, 6)) + 0j)[0]
+    for U in (np.diag(spectrum), Q @ np.diag(spectrum) @ Q.conj().T):
+        calls = _passes(monkeypatch)
+        _assert_spectrum(U, spectrum)
+        assert calls == [1, 1]
+
+
+@pytest.mark.parametrize("rotation, passes", [(None, [1]), (0.0, [1, 1])])
+def test_cayley_minus_identity_and_cycle(monkeypatch, rotation, passes):
+    # the fixed rotation keeps -I and a 4-cycle off the pole; without it
+    # both have an eigenvalue exactly at -1 and take the retry
+    if rotation is not None:
+        monkeypatch.setattr(spectral, "_CAYLEY_ROTATION", rotation)
+    cycle = np.eye(4)[[1, 2, 3, 0]]
+    for U, spectrum in ((-np.eye(4), [-1.0] * 4), (cycle, [1.0, 1j, -1.0, -1j])):
+        calls = _passes(monkeypatch)
+        _assert_spectrum(U, np.array(spectrum, dtype=complex))
+        assert calls == passes
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 7, 256])
+def test_k_slices_reproduce_one_stream(batch_size):
+    samples, seed, k_max = 1001, 42, 1e5
+    stream = np.random.Generator(np.random.Philox(key=seed)).uniform(0.0, k_max, samples)
+    slices = [
+        _k_slice(seed, k_max, start, min(batch_size, samples - start))
+        for start in range(0, samples, batch_size)
+    ]
+    assert np.array_equal(np.concatenate(slices), stream)
 
 
 def test_mc_n0_is_exact(scattering6, lengths6):
