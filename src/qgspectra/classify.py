@@ -16,9 +16,11 @@ The bond-distinct pseudo orbits of length n are the cycle covers of the
 balanced n-bond subsets, and a subset with N doubly used vertices has
 exactly 2^N of them.  The census therefore counts balanced subsets by
 (n, N) with a frontier transfer matrix over vertices, in exact integers,
-and builds no pseudo orbit.  Enumeration remains where the pseudo orbits
-themselves are the output: general mode, JSONL dumps, partner sums and
-the diagonal approximation.
+and builds no pseudo orbit.  The number |P^n| of all primitive pseudo
+orbits, repeated bonds included, follows in closed form from the counts
+of primitive periodic orbits; it gives the general-mode census and the
+diagonal approximation.  Enumeration remains where the pseudo orbits
+themselves are the output: JSONL dumps and partner sums.
 """
 
 from __future__ import annotations
@@ -32,11 +34,7 @@ from fractions import Fraction
 from typing import IO, Iterable
 
 from .graphs import DirectedGraph, vertex_ports
-from .orbits import (
-    DEFAULT_CAP,
-    PseudoOrbit,
-    enumerate_pseudo_orbits,
-)
+from .orbits import PseudoOrbit
 
 
 @dataclass(frozen=True)
@@ -119,37 +117,58 @@ class ClassCounts:
         return sum(self.phat.values())
 
 
-def class_counts(
-    graph: DirectedGraph,
-    n: int,
-    mode: str = "bond_distinct",
-    cap: int = DEFAULT_CAP,
-) -> ClassCounts:
+def class_counts(graph: DirectedGraph, n: int, mode: str = "bond_distinct") -> ClassCounts:
     """Count P0 / PhatN / excluded pseudo orbits of total length n.
 
     ``bond_distinct`` counts balanced n-bond subsets by encounter number
     N with a transfer matrix over vertices; each such subset carries
     exactly 2^N bond-distinct pseudo orbits (its cycle covers), so no
-    pseudo orbit is built.  ``general`` enumerates and classifies every
-    primitive pseudo orbit, repeated bonds included.
+    pseudo orbit is built.  ``general`` adds the pseudo orbits with a
+    repeated bond as ``excluded`` = |P^n| - p0 - sum_N phat_N, with |P^n|
+    in closed form; above n = B every pseudo orbit repeats a bond.
     """
-    if mode == "bond_distinct":
-        subsets = _balanced_subset_counts(graph, n)
-        return ClassCounts(
-            n=n, p0=subsets[0], phat={N: 2**N * c for N, c in enumerate(subsets) if N and c}
-        )
-    p0 = 0
-    excluded = 0
-    phat: dict[int, int] = {}
-    for po in enumerate_pseudo_orbits(graph, n, mode=mode, cap=cap):
-        tag = classify_pseudo_orbit(graph, po)
-        if tag.kind == "P0":
-            p0 += 1
-        elif tag.kind == "PhatN":
-            phat[tag.encounters] = phat.get(tag.encounters, 0) + 1
-        else:
-            excluded += 1
-    return ClassCounts(n=n, p0=p0, phat=dict(sorted(phat.items())), excluded=excluded)
+    if mode not in ("bond_distinct", "general"):
+        raise ValueError(f"unknown mode {mode!r}")
+    general = mode == "general"
+    subsets = [0] if general and n > graph.num_bonds else _balanced_subset_counts(graph, n)
+    p0, phat = subsets[0], {N: 2**N * c for N, c in enumerate(subsets) if N and c}
+    excluded = _pseudo_orbit_counts(graph, n)[n] - p0 - sum(phat.values()) if general else 0
+    return ClassCounts(n=n, p0=p0, phat=phat, excluded=excluded)
+
+
+def _pseudo_orbit_counts(graph: DirectedGraph, n_max: int) -> list[int]:
+    """|P^n| for n = 0..n_max: primitive pseudo orbits, repeated bonds allowed.
+
+    A closed bond walk of length ell is a closed vertex walk of length ell,
+    so tr(A^ell) counts them, with A the vertex adjacency (multiplicities
+    included).  Walk counts from every start vertex are packed into one
+    int per end vertex and pushed along the bonds.  The primitive orbit
+    counts pi_ell follow from tr(A^ell) = sum_{d | ell} d pi_d, and a
+    primitive pseudo orbit is a set of distinct primitive orbits, so
+    |P^n| = [x^n] prod_ell (1 + x^ell)^pi_ell.
+    """
+    if n_max < 0:
+        raise ValueError("n must be nonnegative")
+    V = graph.vertex_count
+    # a count of walks of length <= n_max is at most B^n_max < 2^width
+    width = graph.num_bonds.bit_length() * n_max + 1
+    digit = (1 << width) - 1
+    walks = [1 << (width * v) for v in range(V)]
+    primitive = [0] * (n_max + 1)
+    totals = [1] + [0] * n_max
+    for ell in range(1, n_max + 1):
+        step = [0] * V
+        for u, w in graph.bonds:
+            step[w] += walks[u]
+        walks = step
+        trace = sum((walks[v] >> (width * v)) & digit for v in range(V))
+        repeats = sum(d * primitive[d] for d in range(1, ell) if ell % d == 0)
+        primitive[ell] = (trace - repeats) // ell
+        # multiply by (1 + x^ell)^primitive[ell], truncated at x^n_max
+        binomials = [math.comb(primitive[ell], j) for j in range(n_max // ell + 1)]
+        for m in range(n_max, ell - 1, -1):
+            totals[m] += sum(binomials[j] * totals[m - j * ell] for j in range(1, m // ell + 1))
+    return totals
 
 
 def _elimination_order(graph: DirectedGraph) -> list[int]:
@@ -279,13 +298,11 @@ def c_gamma(
     return Fraction(pseudo_orbit.weight_sign * total, 2**pseudo_orbit.total_bonds)
 
 
-def diagonal_approximation(
-    graph: DirectedGraph, n: int, cap: int = DEFAULT_CAP
-) -> Fraction:
+def diagonal_approximation(graph: DirectedGraph, n: int) -> Fraction:
     """Equal-weight estimate 2^-n |P^n| over all primitive pseudo orbits of
-    length n (repeated bonds included); approaches 1/2 on large graphs."""
-    pos = enumerate_pseudo_orbits(graph, n, mode="general", cap=cap)
-    return Fraction(len(pos), 2**n)
+    length n (repeated bonds included), with |P^n| in closed form from the
+    primitive orbit counts; approaches 1/2 on large graphs."""
+    return Fraction(_pseudo_orbit_counts(graph, n)[n], 2**n)
 
 
 def pseudo_orbit_record(graph: DirectedGraph, pseudo_orbit: PseudoOrbit) -> dict:

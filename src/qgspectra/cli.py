@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 configuration or input error, 2 exact-vs-oracle
 mismatch, 3 mismatch against a supplied reference table, 4 Monte Carlo
-estimate outside tolerance, 5 enumeration cap exceeded.
+estimate outside tolerance, 5 enumeration cap exceeded (``orbits enumerate``
+only; every count and variance is computed without enumeration).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ EXIT_CAP = 5
 
 ORACLE_TOL = 1e-12
 DEFAULT_MC_TOL = 5e-3
-SUBSET_LIMIT = 2_000_000  # above this many minors, the oracle reports n/a
+SUBSET_LIMIT = 2_000_000  # the most minors the oracle may evaluate at one n
 
 
 def _fmt(value) -> str:
@@ -109,9 +110,12 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_sidecar(out: str | None, payload: dict) -> None:
-    if out:
-        Path(out + ".meta.json").write_text(json.dumps(payload, indent=1) + "\n")
+def _write_sidecar(args, timings: dict, **extra) -> None:
+    """Write ``<out>.meta.json``: version, config echo, any extra keys, timings."""
+    if args.out:
+        config = {key: value for key, value in sorted(vars(args).items()) if key != "func"}
+        payload = {"version": __version__, "config": config, **extra, "timings": timings}
+        Path(args.out + ".meta.json").write_text(json.dumps(payload, indent=1) + "\n")
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
@@ -120,10 +124,6 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def _config_echo(args) -> dict:
-    return {key: value for key, value in sorted(vars(args).items()) if key != "func"}
 
 
 # --- graph ------------------------------------------------------------
@@ -173,7 +173,7 @@ def cmd_orbits_enumerate(args) -> int:
 
 def cmd_orbits_classify(args) -> int:
     graph = _resolve_graph(args)
-    counts = class_counts(graph, args.n, mode=args.mode, cap=args.cap)
+    counts = class_counts(graph, args.n, mode=args.mode)
     variance = variance_from_classes(counts)
     payload = {
         "n": counts.n,
@@ -202,10 +202,20 @@ def cmd_variance_exact(args) -> int:
     return EXIT_OK
 
 
+def _oracle_feasible(B: int, n: int) -> bool:
+    return math.comb(B, n) <= SUBSET_LIMIT
+
+
 def cmd_variance_oracle(args) -> int:
     graph = _resolve_graph(args)
     S = build_bond_scattering(graph)
     ns = _index_range(args, graph.num_bonds)
+    for n in ns:
+        if not _oracle_feasible(graph.num_bonds, n):
+            raise ValueError(
+                f"the oracle at n={n} needs {math.comb(graph.num_bonds, n)} minors, "
+                f"above the limit of {SUBSET_LIMIT}"
+            )
     rows = [[_fmt(n), _fmt(minor_sum_variance(S, n))] for n in ns]
     _emit(_csv_text(["n", "oracle"], rows), args.out)
     return EXIT_OK
@@ -231,8 +241,7 @@ def _cross_check(args, graph: DirectedGraph, lengths):
     ]
     t1 = time.perf_counter()
     oracle = [
-        minor_sum_variance(S, n) if math.comb(B, min(n, B - n)) <= SUBSET_LIMIT else None
-        for n in ns
+        minor_sum_variance(S, n) if _oracle_feasible(B, n) else None for n in ns
     ]
     t2 = time.perf_counter()
     estimates = mc_variance(
@@ -260,7 +269,7 @@ def cmd_variance_diagonal(args) -> int:
     ns = _index_range(args, graph.num_bonds)
     rows = []
     for n in ns:
-        value = diagonal_approximation(graph, n, cap=args.cap)
+        value = diagonal_approximation(graph, n)
         count = value * 2**n
         rows.append([_fmt(n), _fmt(int(count)), _fmt(value), _fmt(float(value))])
     header = ["n", "pseudo_orbits", "diagonal_fraction", "diagonal"]
@@ -333,15 +342,7 @@ def cmd_report_table(args) -> int:
 
     timings["total_s"] = time.perf_counter() - t_start
     _emit(_csv_text(header, table), args.out)
-    _write_sidecar(
-        args.out,
-        {
-            "version": __version__,
-            "config": _config_echo(args),
-            "graph_sha256": graph_sha256(graph),
-            "timings": timings,
-        },
-    )
+    _write_sidecar(args, timings, graph_sha256=graph_sha256(graph))
     return exit_code
 
 
@@ -365,14 +366,7 @@ def cmd_report_convergence(args) -> int:
         )
     header = ["r", "B", "n", "mc_mean", "mc_stderr", "abs_dev_from_half"]
     _emit(_csv_text(header, rows), args.out)
-    _write_sidecar(
-        args.out,
-        {
-            "version": __version__,
-            "config": _config_echo(args),
-            "timings": {"total_s": time.perf_counter() - t_start},
-        },
-    )
+    _write_sidecar(args, {"total_s": time.perf_counter() - t_start})
     return EXIT_OK
 
 
@@ -408,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode_opts.add_argument(
         "--mode", choices=["bond_distinct", "general"], default="bond_distinct"
     )
-    mode_opts.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
     graph_cmd = sub.add_parser("graph", help="generate and validate graphs")
     gsub = graph_cmd.add_subparsers(dest="action", required=True)
@@ -428,6 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
         "enumerate", parents=[graph_src, out_opt, mode_opts], help="JSONL pseudo-orbit dump"
     )
     oenum.add_argument("--n", type=int, required=True)
+    oenum.add_argument("--cap", type=int, default=DEFAULT_CAP)
     oenum.set_defaults(func=cmd_orbits_enumerate)
     oclass = osub.add_parser(
         "classify", parents=[graph_src, out_opt, mode_opts], help="class census at one n"
@@ -444,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     vmc = vsub.add_parser("mc", parents=[graph_src, out_opt, index_opts, mc_opts])
     vmc.set_defaults(func=cmd_variance_mc)
     vdiag = vsub.add_parser("diagonal", parents=[graph_src, out_opt, index_opts])
-    vdiag.add_argument("--cap", type=int, default=DEFAULT_CAP)
     vdiag.set_defaults(func=cmd_variance_diagonal)
 
     report_cmd = sub.add_parser("report", help="cross-validated reports")

@@ -16,6 +16,7 @@ enumeration modes cover different needs:
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -27,7 +28,7 @@ DEFAULT_CAP = 2_000_000
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """Raised when general-mode enumeration would exceed its step budget."""
+    """Raised when pseudo-orbit enumeration would exceed its step budget."""
 
 
 def canonical_orbit(
@@ -269,13 +270,17 @@ def enumerate_pseudo_orbits(
 ) -> list[PseudoOrbit]:
     """Primitive pseudo orbits with n bonds in total, sorted canonically.
 
-    ``bond_distinct`` unions the cycle covers of all balanced n-subsets.
+    ``bond_distinct`` unions the cycle covers of all balanced n-subsets;
+    it walks C(B, n) subsets, so that count must not exceed ``cap``.
     ``general`` combines arbitrary distinct primitive orbits of total
-    length n and is a strict superset once n admits repeated bonds.
+    length n and is a strict superset once n admits repeated bonds; its
+    orbit search takes at most ``cap`` steps.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if mode == "bond_distinct":
+        if math.comb(graph.num_bonds, n) > cap:
+            raise EnumerationCapExceeded(f"C({graph.num_bonds}, {n}) subsets exceed the cap {cap}")
         out: list[PseudoOrbit] = []
         for subset in admissible_subsets(graph, n):
             out.extend(covers_of_subset(graph, subset).covers)

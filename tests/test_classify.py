@@ -128,25 +128,34 @@ def test_general_mode_census(debruijn8, binary6):
     assert (got.p0, got.phat, got.excluded) == (8, {1: 4}, 8)
 
 
-def _enumerated_census(graph, n):
-    """The census straight from the enumerated bond-distinct pseudo orbits."""
-    p0, phat = 0, {}
-    for po in enumerate_pseudo_orbits(graph, n, "bond_distinct"):
+def _enumerated_census(graph, n, mode="bond_distinct"):
+    """The census straight from the enumerated pseudo orbits, classified one
+    by one."""
+    p0, phat, excluded = 0, {}, 0
+    for po in enumerate_pseudo_orbits(graph, n, mode):
         tag = classify_pseudo_orbit(graph, po)
         if tag.kind == "P0":
             p0 += 1
-        else:
-            assert tag.kind == "PhatN"
+        elif tag.kind == "PhatN":
             phat[tag.encounters] = phat.get(tag.encounters, 0) + 1
-    return ClassCounts(n=n, p0=p0, phat=dict(sorted(phat.items())))
+        else:
+            excluded += 1
+    return ClassCounts(n=n, p0=p0, phat=dict(sorted(phat.items())), excluded=excluded)
 
 
 def _assert_census_matches_enumeration(graph, n_max):
+    """Bond-distinct census and oracle for n <= min(n_max, B); general
+    census and diagonal approximation for n <= n_max, also above B."""
     S = q.build_bond_scattering(graph)
     for n in range(min(n_max, graph.num_bonds) + 1):
         counts = class_counts(graph, n)
         assert counts == _enumerated_census(graph, n)
         assert abs(float(variance_from_classes(counts)) - minor_sum_variance(S, n)) <= 1e-12
+    for n in range(n_max + 1):
+        general = _enumerated_census(graph, n, "general")
+        assert class_counts(graph, n, mode="general") == general
+        total = general.p0 + general.phat_total() + general.excluded
+        assert diagonal_approximation(graph, n) == Fraction(total, 2**n)
 
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32))
@@ -161,7 +170,10 @@ def test_census_matches_enumeration_on_random_graphs(vertex_count, seed):
         graph = q.orient_four_regular(edges, vertex_count)
     except ValueError:  # disconnected draw
         assume(False)
-    _assert_census_matches_enumeration(graph, 6)
+    # the smallest graphs also reach n > B, where every pseudo orbit
+    # repeats a bond
+    n_max = max(6, graph.num_bonds + 3) if vertex_count <= 2 else 6
+    _assert_census_matches_enumeration(graph, n_max)
 
 
 @pytest.mark.parametrize("p, r", [(3, 2), (5, 1)])
@@ -173,8 +185,20 @@ def test_census_rejects_vertex_above_two_in_two_out():
     graph = DirectedGraph(2, ((0, 0), (0, 0), (0, 0), (0, 1), (1, 0), (1, 1)))
     with pytest.raises(ValueError, match="vertex 0 has 4 incoming / 4 outgoing"):
         class_counts(graph, 2)
+    with pytest.raises(ValueError, match="vertex 0 has 4 incoming / 4 outgoing"):
+        class_counts(graph, 2, mode="general")
     with pytest.raises(ValueError, match="vertex 0"):
         exact_variance(graph, 3)
+
+
+def test_census_rejects_bad_arguments(binary6):
+    for mode in ("bond_distinct", "general"):
+        with pytest.raises(ValueError):
+            class_counts(binary6, -1, mode=mode)
+    with pytest.raises(ValueError):
+        diagonal_approximation(binary6, -1)
+    with pytest.raises(ValueError, match="unknown mode"):
+        class_counts(binary6, 3, mode="something")
 
 
 def test_variance_from_classes_arithmetic():

@@ -20,6 +20,7 @@ from qgspectra.cli import (
     main,
 )
 from qgspectra.graphs import DirectedGraph, save_graph
+from qgspectra.spectral import minor_sum_variance
 
 V6_FRACTIONS = ["1", "1", "3/4", "3/4", "7/8", "1/2", "3/8"]
 
@@ -124,13 +125,31 @@ def test_census_graph_above_two_in_two_out_exits_config(tmp_path, capsys):
     assert "vertex 0 has 4 incoming / 4 outgoing" in capsys.readouterr().err
 
 
-def test_variance_oracle_csv(tmp_path):
+def test_variance_oracle_csv(tmp_path, capsys):
     out = tmp_path / "oracle.csv"
     assert main(["variance", "oracle", "--p", "3", "--r", "1", "--n", "4",
                  "--out", str(out)]) == EXIT_OK
     rows = _read_csv(out)
     assert len(rows) == 1
     assert float(rows[0]["oracle"]) == pytest.approx(0.875, abs=1e-12)
+    # every row within the minor limit is the library's oracle value
+    assert main(["variance", "oracle", "--p", "3", "--r", "1", "--n-max", "4"]) == EXIT_OK
+    S = q.build_bond_scattering(q.build_binary_graph(3, 1))
+    rows = "".join(f"{n},{minor_sum_variance(S, n)}\n" for n in range(5))
+    assert capsys.readouterr().out == "n,oracle\n" + rows
+
+
+def test_variance_oracle_beyond_the_limit_exits_config():
+    # without the limit, n = 32 on B=64 would evaluate C(64, 32) ~ 1.8e18 minors
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgspectra.cli", "variance", "oracle", "--p", "1", "--r", "5"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stdout == ""
+    assert "n=5" in proc.stderr and "2000000" in proc.stderr
 
 
 def test_variance_mc_row_fields(tmp_path):
@@ -199,6 +218,21 @@ def test_variance_diagonal_csv(tmp_path):
     assert row["diagonal_fraction"] == "3/4"
 
 
+def test_counts_beyond_enumeration(tmp_path, capsys):
+    # de Bruijn graphs carry 2^(n-1) pseudo orbits of length n >= 2: the
+    # primitive orbits are Lyndon words, and prod_l (1 + x^l)^pi_l equals
+    # (1 - 2x^2) / (1 - 2x); far too many to enumerate at B=64 and B=256
+    out = tmp_path / "diag.csv"
+    assert main(["variance", "diagonal", "--p", "1", "--r", "7", "--n", "128",
+                 "--out", str(out)]) == EXIT_OK
+    assert _read_csv(out)[0]["diagonal_fraction"] == "1/2"
+    assert main(["orbits", "classify", "--mode", "general", "--p", "1", "--r", "5",
+                 "--n", "32"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["variance_fraction"] == "36993/65536"
+    assert payload["p0"] + sum(payload["phat"].values()) + payload["excluded"] == 2**31
+
+
 def test_report_table_end_to_end(tmp_path):
     out = tmp_path / "table.csv"
     args = ["report", "table", "--p", "3", "--r", "1",
@@ -215,6 +249,7 @@ def test_report_table_end_to_end(tmp_path):
 
     sidecar = json.loads((tmp_path / "table.csv.meta.json").read_text())
     assert set(sidecar) == {"version", "config", "graph_sha256", "timings"}
+    assert set(sidecar["timings"]) == {"exact_s", "oracle_s", "mc_s", "total_s"}
     assert sidecar["config"]["samples"] == 2000
     assert len(sidecar["graph_sha256"]) == 64
 
@@ -271,7 +306,9 @@ def test_report_convergence(tmp_path):
     for row in rows:
         dev = abs(float(row["mc_mean"]) - 0.5)
         assert float(row["abs_dev_from_half"]) == pytest.approx(dev, abs=1e-15)
-    assert (tmp_path / "conv.csv.meta.json").exists()
+    sidecar = json.loads((tmp_path / "conv.csv.meta.json").read_text())
+    assert set(sidecar) == {"version", "config", "timings"}
+    assert set(sidecar["timings"]) == {"total_s"}
 
 
 def test_report_convergence_default_n_is_half(tmp_path):
@@ -296,12 +333,18 @@ def test_config_error_exits(tmp_path, capsys):
     assert main(["report", "convergence", "--r", "2", "--kmax", "inf"]) == EXIT_CONFIG
     assert main(["variance", "mc", "--p", "3", "--r", "1", "--n", "2",
                  "--threads", "-3"]) == EXIT_CONFIG
+    # counts need no enumeration budget
+    assert main(["variance", "diagonal", "--p", "3", "--r", "1", "--n", "2",
+                 "--cap", "10"]) == EXIT_CONFIG
+    assert main(["orbits", "classify", "--p", "3", "--r", "1", "--n", "2",
+                 "--cap", "10"]) == EXIT_CONFIG
     capsys.readouterr()
 
 
-def test_cap_exit():
+@pytest.mark.parametrize("mode", ["general", "bond_distinct"])
+def test_cap_exit(mode):
     assert main(["orbits", "enumerate", "--p", "1", "--r", "3", "--n", "6",
-                 "--mode", "general", "--cap", "10"]) == EXIT_CAP
+                 "--mode", mode, "--cap", "10"]) == EXIT_CAP
 
 
 def test_module_entry_point_help():

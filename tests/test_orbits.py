@@ -183,8 +183,13 @@ def test_enumerate_rejects_bad_args(binary6):
         enumerate_pseudo_orbits(binary6, -1)
     with pytest.raises(ValueError):
         enumerate_pseudo_orbits(binary6, 3, mode="something")
+
+
+@pytest.mark.parametrize("mode", ["general", "bond_distinct"])
+def test_enumerate_cap(binary6, mode):
+    # bond_distinct would walk C(12, 6) = 924 subsets
     with pytest.raises(EnumerationCapExceeded):
-        enumerate_pseudo_orbits(binary6, 6, mode="general", cap=10)
+        enumerate_pseudo_orbits(binary6, 6, mode=mode, cap=10)
 
 
 def test_group_by_bond_multiset(binary6):
