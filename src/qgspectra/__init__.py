@@ -13,10 +13,12 @@ from .classify import (
     OrbitClass,
     VisitProfile,
     c_gamma,
+    class_census,
     class_counts,
     classify_pseudo_orbit,
     diagonal_approximation,
     exact_variance,
+    pseudo_orbit_counts,
     pseudo_orbit_record,
     variance_from_classes,
     visit_profile,
@@ -97,6 +99,7 @@ __all__ = [
     "c_gamma",
     "canonical_orbit",
     "char_poly_coefficients",
+    "class_census",
     "class_counts",
     "classify_pseudo_orbit",
     "covers_of_subset",
@@ -116,6 +119,7 @@ __all__ = [
     "minor_sum_variance",
     "orient_four_regular",
     "primitive_orbits",
+    "pseudo_orbit_counts",
     "pseudo_orbit_record",
     "read_graph",
     "riemann_siegel_residual",

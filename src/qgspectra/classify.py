@@ -19,8 +19,9 @@ exactly 2^N of them.  The census therefore counts balanced subsets by
 and builds no pseudo orbit.  The number |P^n| of all primitive pseudo
 orbits, repeated bonds included, follows in closed form from the counts
 of primitive periodic orbits; it gives the general-mode census and the
-diagonal approximation.  Enumeration remains where the pseudo orbits
-themselves are the output: JSONL dumps and partner sums.
+diagonal approximation.  One pass of either yields every n <= n_max; the
+per-n functions are views of one row.  Enumeration remains where the
+pseudo orbits themselves are the output: JSONL dumps and partner sums.
 """
 
 from __future__ import annotations
@@ -117,26 +118,38 @@ class ClassCounts:
         return sum(self.phat.values())
 
 
-def class_counts(graph: DirectedGraph, n: int, mode: str = "bond_distinct") -> ClassCounts:
-    """Count P0 / PhatN / excluded pseudo orbits of total length n.
+def class_census(
+    graph: DirectedGraph, n_max: int, mode: str = "bond_distinct"
+) -> list[ClassCounts]:
+    """Count P0 / PhatN / excluded pseudo orbits of each length n <= n_max.
 
     ``bond_distinct`` counts balanced n-bond subsets by encounter number
-    N with a transfer matrix over vertices; each such subset carries
-    exactly 2^N bond-distinct pseudo orbits (its cycle covers), so no
-    pseudo orbit is built.  ``general`` adds the pseudo orbits with a
-    repeated bond as ``excluded`` = |P^n| - p0 - sum_N phat_N, with |P^n|
-    in closed form; above n = B every pseudo orbit repeats a bond.
+    N in one transfer-matrix run truncated at n_max; each carries 2^N
+    pseudo orbits (its cycle covers).  ``general`` adds the pseudo orbits
+    with a repeated bond as ``excluded`` = |P^n| - p0 - sum_N phat_N, with
+    |P^n| in closed form; above n = B every pseudo orbit repeats a bond.
     """
     if mode not in ("bond_distinct", "general"):
         raise ValueError(f"unknown mode {mode!r}")
-    general = mode == "general"
-    subsets = [0] if general and n > graph.num_bonds else _balanced_subset_counts(graph, n)
-    p0, phat = subsets[0], {N: 2**N * c for N, c in enumerate(subsets) if N and c}
-    excluded = _pseudo_orbit_counts(graph, n)[n] - p0 - sum(phat.values()) if general else 0
-    return ClassCounts(n=n, p0=p0, phat=phat, excluded=excluded)
+    totals = pseudo_orbit_counts(graph, n_max) if mode == "general" else None
+    rows = _balanced_subset_counts(graph, n_max if totals is None else min(n_max, graph.num_bonds))
+    census = []
+    for n in range(n_max + 1):
+        subsets = rows[n] if n < len(rows) else [0]
+        p0, phat = subsets[0], {N: 2**N * c for N, c in enumerate(subsets) if N and c}
+        excluded = totals[n] - p0 - sum(phat.values()) if totals else 0
+        census.append(ClassCounts(n=n, p0=p0, phat=phat, excluded=excluded))
+    return census
 
 
-def _pseudo_orbit_counts(graph: DirectedGraph, n_max: int) -> list[int]:
+def class_counts(graph: DirectedGraph, n: int, mode: str = "bond_distinct") -> ClassCounts:
+    """The census of total length n alone: row n of :func:`class_census`."""
+    if mode == "general" and n > graph.num_bonds:  # all excluded: skip the DP
+        return ClassCounts(n=n, p0=0, phat={}, excluded=pseudo_orbit_counts(graph, n)[n])
+    return class_census(graph, n, mode)[n]
+
+
+def pseudo_orbit_counts(graph: DirectedGraph, n_max: int) -> list[int]:
     """|P^n| for n = 0..n_max: primitive pseudo orbits, repeated bonds allowed.
 
     A closed bond walk of length ell is a closed vertex walk of length ell,
@@ -196,21 +209,21 @@ def _elimination_order(graph: DirectedGraph) -> list[int]:
     return order
 
 
-def _balanced_subset_counts(graph: DirectedGraph, n: int) -> list[int]:
+def _balanced_subset_counts(graph: DirectedGraph, n_max: int) -> list[list[int]]:
     """Number of balanced n-bond subsets with N doubly used vertices,
-    indexed by N = 0..n//2.
+    indexed [n][N] for n = 0..n_max and N = 0..n//2.
 
     Frontier transfer matrix: vertices are eliminated in
     :func:`_elimination_order`; a bond is open while exactly one of its
     endpoints is processed.  The state is the set of selected open bonds
     (a bitmask over bond ids) and carries a generating polynomial in x
-    (selected bonds) and y (doubly used vertices), truncated at x^n.  A
+    (selected bonds) and y (doubly used vertices), truncated at x^n_max.  A
     vertex step decides the vertex's remaining bonds, keeps the choices
     with selected in = selected out, and closes the bonds whose endpoints
     are now both processed.  A self-loop is decided and closed at once.
     """
     B = graph.num_bonds
-    if not 0 <= n <= B:
+    if not 0 <= n_max <= B:
         raise ValueError(f"n must lie in 0..{B}")
     ports = vertex_ports(graph)
     for v in range(graph.vertex_count):
@@ -224,8 +237,8 @@ def _balanced_subset_counts(graph: DirectedGraph, n: int) -> list[int]:
     # at bit width * (k * span + N).  Each coefficient counts subsets of
     # the decided bonds, so it stays below C(B, B//2) < 2^width.
     width = math.comb(B, B // 2).bit_length()
-    span = n // 2 + 1
-    keep = (1 << (width * span * (n + 1))) - 1
+    span = n_max // 2 + 1
+    keep = (1 << (width * span * (n_max + 1))) - 1
     done = [False] * graph.vertex_count
     states: dict[int, int] = {0: 1}
     for v in _elimination_order(graph):
@@ -259,7 +272,8 @@ def _balanced_subset_counts(graph: DirectedGraph, n: int) -> list[int]:
         states = step
     total = states.get(0, 0)
     digit = (1 << width) - 1
-    return [(total >> (width * (n * span + N))) & digit for N in range(span)]
+    return [[(total >> (width * (n * span + N))) & digit for N in range(n // 2 + 1)]
+            for n in range(n_max + 1)]
 
 
 def variance_from_classes(counts: ClassCounts) -> Fraction:
@@ -272,11 +286,7 @@ def variance_from_classes(counts: ClassCounts) -> Fraction:
 def exact_variance(graph: DirectedGraph, n: int) -> Fraction:
     """Exact variance of coefficient n; indices above B/2 use the mirror
     symmetry var(n) = var(B - n)."""
-    B = graph.num_bonds
-    if not 0 <= n <= B:
-        raise ValueError(f"n must lie in 0..{B}")
-    half = min(n, B - n)
-    return variance_from_classes(class_counts(graph, half))
+    return variance_from_classes(class_counts(graph, min(n, graph.num_bonds - n)))
 
 
 def c_gamma(
@@ -302,7 +312,7 @@ def diagonal_approximation(graph: DirectedGraph, n: int) -> Fraction:
     """Equal-weight estimate 2^-n |P^n| over all primitive pseudo orbits of
     length n (repeated bonds included), with |P^n| in closed form from the
     primitive orbit counts; approaches 1/2 on large graphs."""
-    return Fraction(_pseudo_orbit_counts(graph, n)[n], 2**n)
+    return Fraction(pseudo_orbit_counts(graph, n)[n], 2**n)
 
 
 def pseudo_orbit_record(graph: DirectedGraph, pseudo_orbit: PseudoOrbit) -> dict:

@@ -16,13 +16,15 @@ import json
 import math
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .classify import (
+from .classify import (  # noqa: F401 (bench/worker.py patches cli.exact_variance)
+    class_census,
     class_counts,
-    diagonal_approximation,
     exact_variance,
+    pseudo_orbit_counts,
     variance_from_classes,
     write_orbit_dump,
 )
@@ -191,13 +193,19 @@ def cmd_orbits_classify(args) -> int:
 # --- variance ---------------------------------------------------------
 
 
+def _exact_columns(graph: DirectedGraph, ns: list[int]):
+    """Census (None above B/2) and mirrored exact variance at each n, in one pass."""
+    B = graph.num_bonds
+    census = class_census(graph, max(min(n, B - n) for n in ns))
+    return ([census[n] if n <= B // 2 else None for n in ns],
+            [variance_from_classes(census[min(n, B - n)]) for n in ns])
+
+
 def cmd_variance_exact(args) -> int:
     graph = _resolve_graph(args)
     ns = _index_range(args, graph.num_bonds)
-    rows = []
-    for n in ns:
-        frac = exact_variance(graph, n)
-        rows.append([_fmt(n), _fmt(frac), _fmt(float(frac))])
+    _, exact = _exact_columns(graph, ns)
+    rows = [[_fmt(n), _fmt(frac), _fmt(float(frac))] for n, frac in zip(ns, exact)]
     _emit(_csv_text(["n", "exact_fraction", "exact"], rows), args.out)
     return EXIT_OK
 
@@ -234,11 +242,7 @@ def _cross_check(args, graph: DirectedGraph, lengths):
     S = build_bond_scattering(graph)
 
     t0 = time.perf_counter()
-    census = {n: class_counts(graph, n) for n in ns if n <= B // 2}
-    exact = [
-        variance_from_classes(census[n]) if n in census else exact_variance(graph, n)
-        for n in ns
-    ]
+    census, exact = _exact_columns(graph, ns)
     t1 = time.perf_counter()
     oracle = [
         minor_sum_variance(S, n) if _oracle_feasible(B, n) else None for n in ns
@@ -248,7 +252,7 @@ def _cross_check(args, graph: DirectedGraph, lengths):
         S, lengths, ns, args.samples, args.seed, args.kmax, threads=args.threads
     )
     t3 = time.perf_counter()
-    rows = list(zip(ns, map(census.get, ns), exact, oracle, estimates))
+    rows = list(zip(ns, census, exact, oracle, estimates))
     return rows, {"exact_s": t1 - t0, "oracle_s": t2 - t1, "mc_s": t3 - t2}
 
 
@@ -267,11 +271,9 @@ def cmd_variance_mc(args) -> int:
 def cmd_variance_diagonal(args) -> int:
     graph = _resolve_graph(args)
     ns = _index_range(args, graph.num_bonds)
-    rows = []
-    for n in ns:
-        value = diagonal_approximation(graph, n)
-        count = value * 2**n
-        rows.append([_fmt(n), _fmt(int(count)), _fmt(value), _fmt(float(value))])
+    counts = pseudo_orbit_counts(graph, ns[-1])
+    values = [Fraction(counts[n], 2**n) for n in ns]
+    rows = [[_fmt(n), _fmt(counts[n]), _fmt(v), _fmt(float(v))] for n, v in zip(ns, values)]
     header = ["n", "pseudo_orbits", "diagonal_fraction", "diagonal"]
     _emit(_csv_text(header, rows), args.out)
     return EXIT_OK
@@ -330,7 +332,8 @@ def cmd_report_table(args) -> int:
 
     if any(o is not None and abs(float(e) - o) > ORACLE_TOL for _, _, e, o, _ in rows):
         exit_code = EXIT_ORACLE_MISMATCH
-    elif args.expect and _reference_mismatches(args.expect, header, table):
+    elif args.expect and (notes := _reference_mismatches(args.expect, header, table)):
+        print("\n".join(f"mismatch: {note}" for note in notes), file=sys.stderr)
         exit_code = EXIT_TABLE_MISMATCH
     elif any(
         abs(est.mean - float(e)) > max(args.mc_tol, 3 * est.std_error)

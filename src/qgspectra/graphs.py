@@ -64,12 +64,6 @@ class VertexPorts:
     in_bonds: tuple[tuple[int, ...], ...]
     out_bonds: tuple[tuple[int, ...], ...]
 
-    def in_index(self, vertex: int, bond: int) -> int:
-        return self.in_bonds[vertex].index(bond)
-
-    def out_index(self, vertex: int, bond: int) -> int:
-        return self.out_bonds[vertex].index(bond)
-
 
 @lru_cache(maxsize=None)
 def vertex_ports(graph: DirectedGraph) -> VertexPorts:

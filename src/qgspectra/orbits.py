@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import DirectedGraph, vertex_ports
+from .lyndon import is_lyndon
 from .quantize import transition_sign
 
 DEFAULT_CAP = 2_000_000
@@ -231,10 +232,11 @@ def primitive_orbits(
     graph: DirectedGraph, max_len: int, cap: int = DEFAULT_CAP
 ) -> list[tuple[int, ...]]:
     """All primitive periodic orbits of length <= max_len, canonical and
-    sorted by (length, bonds); repeated bonds within a walk are allowed."""
+    sorted by (length, bonds); repeated bonds within a walk are allowed.
+    Each is found once, as the Lyndon walk from its minimal bond."""
     ports = vertex_ports(graph)
     followers = [ports.out_bonds[graph.terminus(b)] for b in range(graph.num_bonds)]
-    found: set[tuple[int, ...]] = set()
+    found: list[tuple[int, ...]] = []
     steps = 0
 
     def extend(start: int, walk: list[int]) -> None:
@@ -247,10 +249,8 @@ def primitive_orbits(
                 raise EnumerationCapExceeded(
                     f"walk enumeration exceeded {cap} steps at max_len={max_len}"
                 )
-            if nxt == start:
-                canon, primitive = canonical_orbit(graph, walk)
-                if primitive:
-                    found.add(canon)
+            if nxt == start and is_lyndon(walk):
+                found.append(tuple(walk))
             if len(walk) < max_len:
                 walk.append(nxt)
                 extend(start, walk)

@@ -42,7 +42,7 @@ def transition_sign(graph: DirectedGraph, bond: int, next_bond: int) -> int:
     if graph.origin(next_bond) != v:
         raise ValueError(f"bonds {bond} -> {next_bond} are not adjacent")
     ports = vertex_ports(graph)
-    negative = ports.in_index(v, bond) == 1 and ports.out_index(v, next_bond) == 1
+    negative = ports.in_bonds[v].index(bond) == 1 and ports.out_bonds[v].index(next_bond) == 1
     return -1 if negative else 1
 
 

@@ -3,7 +3,8 @@
 Three quantities live here: the coefficient vector of det(U - zeta I) for
 one evolution matrix, the Monte Carlo k-average of |a_n|^2, and the
 principal-minor oracle sum_{|I|=n} |det S_I|^2 that the k-average
-converges to when the bond lengths are incommensurate.
+converges to when the bond lengths are incommensurate.  The first two take
+their eigenvalues from one route, the Hermitian Cayley transform.
 """
 
 from __future__ import annotations
@@ -139,31 +140,22 @@ def _unitary_eigenvalues(U: np.ndarray) -> np.ndarray:
     return np.exp(-1j * alpha)[:, np.newaxis] * (1.0 + 1j * mu) / (1.0 - 1j * mu)
 
 
-def char_poly_coefficients(
-    U: np.ndarray, k: float | None = None, require_unitary: bool = True
-) -> CoefficientVector:
+def char_poly_coefficients(U: np.ndarray, k: float | None = None) -> CoefficientVector:
     """All B+1 coefficients of det(U - zeta I) via the eigenvalue product.
 
     Expanding from eigenvalues keeps every coefficient accurate even where
-    direct expansion of the determinant would lose digits.  Unitary input
-    takes the Cayley-transform route of ``mc_variance``, whose eigenvalues
-    lie on the unit circle.  Grossly non-unitary input is rejected unless
-    ``require_unitary`` is switched off (useful only for negative
-    controls); the spectrum then comes from the general ``eigvals``.
+    direct expansion of the determinant would lose digits.  The eigenvalues
+    come from the Cayley-transform route of ``mc_variance`` and lie on the
+    unit circle; grossly non-unitary input is rejected.
     """
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValueError("U must be a square matrix")
-    if require_unitary:
-        B = U.shape[0]
-        defect = float(np.linalg.norm(U.conj().T @ U - np.eye(B)))
-        if defect > _UNITARITY_GATE:
-            raise ValueError(f"input is not unitary (defect {defect:.3e})")
-        eigenvalues = _unitary_eigenvalues(U[np.newaxis])[0]
-    else:
-        eigenvalues = np.linalg.eigvals(U)
-    values = _coefficients_from_eigenvalues(eigenvalues[np.newaxis, :])[0]
-    return CoefficientVector(values=values, k=k)
+    defect = float(np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0])))
+    if defect > _UNITARITY_GATE:
+        raise ValueError(f"input is not unitary (defect {defect:.3e})")
+    eigenvalues = _unitary_eigenvalues(U[np.newaxis])
+    return CoefficientVector(values=_coefficients_from_eigenvalues(eigenvalues)[0], k=k)
 
 
 def riemann_siegel_residual(coefficients: CoefficientVector) -> float:
@@ -262,11 +254,8 @@ def mc_variance(
         power = np.abs(_coefficients_from_eigenvalues(eigenvalues)) ** 2
         return power.sum(axis=0), (power * power).sum(axis=0)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run_batch, starts))
-    else:
-        partials = [run_batch(s) for s in starts]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        partials = list(pool.map(run_batch, starts))
 
     total = np.zeros(B + 1)
     total_sq = np.zeros(B + 1)

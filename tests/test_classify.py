@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 import qgspectra as q
 from qgspectra.classify import (
     ClassCounts,
+    class_census,
     class_counts,
     classify_pseudo_orbit,
     diagonal_approximation,
     exact_variance,
+    pseudo_orbit_counts,
     pseudo_orbit_record,
     variance_from_classes,
     visit_profile,
@@ -145,16 +147,21 @@ def _enumerated_census(graph, n, mode="bond_distinct"):
 
 def _assert_census_matches_enumeration(graph, n_max):
     """Bond-distinct census and oracle for n <= min(n_max, B); general
-    census and diagonal approximation for n <= n_max, also above B."""
+    census, pseudo-orbit count and diagonal approximation for n <= n_max,
+    also above B.  The one-pass rows must equal the per-n views."""
     S = q.build_bond_scattering(graph)
+    bond_distinct_rows = class_census(graph, min(n_max, graph.num_bonds))
+    general_rows = class_census(graph, n_max, mode="general")
+    totals = pseudo_orbit_counts(graph, n_max)
     for n in range(min(n_max, graph.num_bonds) + 1):
         counts = class_counts(graph, n)
-        assert counts == _enumerated_census(graph, n)
+        assert counts == bond_distinct_rows[n] == _enumerated_census(graph, n)
         assert abs(float(variance_from_classes(counts)) - minor_sum_variance(S, n)) <= 1e-12
     for n in range(n_max + 1):
         general = _enumerated_census(graph, n, "general")
-        assert class_counts(graph, n, mode="general") == general
+        assert class_counts(graph, n, mode="general") == general_rows[n] == general
         total = general.p0 + general.phat_total() + general.excluded
+        assert totals[n] == total
         assert diagonal_approximation(graph, n) == Fraction(total, 2**n)
 
 

@@ -274,18 +274,42 @@ def _write_reference(path, p0_at_4):
         writer.writerows(rows)
 
 
-def test_report_table_reference_comparison(tmp_path):
+def test_report_table_reference_comparison(tmp_path, capsys):
     good = tmp_path / "ref.csv"
     _write_reference(good, "6")
     base = ["report", "table", "--p", "3", "--r", "1", "--samples", "500",
             "--seed", "7", "--out", str(tmp_path / "t.csv")]
     assert main(base + ["--expect", str(good)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
     # a reference claiming 10 length-4 encounter-free pseudo orbits is
     # inconsistent with the dyadic value 7/8 and must be flagged
     bad = tmp_path / "ref_bad.csv"
     _write_reference(bad, "10")
     assert main(base + ["--expect", str(bad)]) == EXIT_TABLE_MISMATCH
+    assert capsys.readouterr().err == "mismatch: n=4 p0: computed 6, reference 10\n"
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["variance", "exact", "--p", "3", "--r", "2"], 12),
+    (["variance", "exact", "--p", "3", "--r", "2", "--n", "20"], 4),
+    (["report", "table", "--p", "3", "--r", "1", "--n-max", "12",
+      "--samples", "200", "--mc-tol", "1"], 6),
+    (["variance", "diagonal", "--p", "3", "--r", "2"], 12),
+])
+def test_one_engine_pass_per_command(argv, size, monkeypatch):
+    # one engine call per command, sized at the largest index the mirror
+    # leaves, however many indices the row holds
+    from qgspectra import classify, cli
+
+    calls = []
+    for module, name in ((classify, "_balanced_subset_counts"), (cli, "pseudo_orbit_counts")):
+        engine = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, engine=engine: calls.append(a[1]) or engine(*a)
+        )
+    assert main(argv) == EXIT_OK
+    assert calls == [size]
 
 
 def test_report_table_mc_divergence_exit(tmp_path):
