@@ -27,14 +27,12 @@ from .classify import (
 from .graphs import (
     DirectedGraph,
     ValidationReport,
-    VertexPorts,
     build_binary_graph,
     load_graph,
     orient_four_regular,
     read_graph,
     save_graph,
     validate_graph,
-    vertex_ports,
 )
 from .lyndon import (
     LyndonTuple,
@@ -62,7 +60,6 @@ from .quantize import (
     build_bond_scattering,
     dft_vertex_matrix,
     evolution_operator,
-    load_lengths,
     sample_bond_lengths,
     transition_sign,
 )
@@ -91,7 +88,6 @@ __all__ = [
     "PseudoOrbit",
     "ValidationReport",
     "VarianceEstimate",
-    "VertexPorts",
     "VisitProfile",
     "admissible_subsets",
     "build_binary_graph",
@@ -111,7 +107,6 @@ __all__ = [
     "group_by_bond_multiset",
     "is_lyndon",
     "load_graph",
-    "load_lengths",
     "lyndon_tuples",
     "lyndon_words",
     "make_pseudo_orbit",
@@ -131,7 +126,6 @@ __all__ = [
     "tuple_parity_census",
     "validate_graph",
     "variance_from_classes",
-    "vertex_ports",
     "visit_profile",
     "write_orbit_dump",
 ]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable
 
-from .graphs import DirectedGraph, vertex_ports
+from .graphs import DirectedGraph
 from .orbits import PseudoOrbit
 
 
@@ -225,9 +225,8 @@ def _balanced_subset_counts(graph: DirectedGraph, n_max: int) -> list[list[int]]
     B = graph.num_bonds
     if not 0 <= n_max <= B:
         raise ValueError(f"n must lie in 0..{B}")
-    ports = vertex_ports(graph)
     for v in range(graph.vertex_count):
-        n_in, n_out = len(ports.in_bonds[v]), len(ports.out_bonds[v])
+        n_in, n_out = len(graph.in_bonds[v]), len(graph.out_bonds[v])
         if n_in > 2 or n_out > 2:
             raise ValueError(
                 f"vertex {v} has {n_in} incoming / {n_out} outgoing bonds; "
@@ -242,7 +241,7 @@ def _balanced_subset_counts(graph: DirectedGraph, n_max: int) -> list[list[int]]
     done = [False] * graph.vertex_count
     states: dict[int, int] = {0: 1}
     for v in _elimination_order(graph):
-        incident = set(ports.in_bonds[v]) | set(ports.out_bonds[v])
+        incident = set(graph.in_bonds[v]) | set(graph.out_bonds[v])
         # the far end of bond (u, w) at v is u + w - v; v itself for a loop
         closing = [b for b in incident if done[sum(graph.bonds[b]) - v]]
         fresh = sorted(incident.difference(closing))

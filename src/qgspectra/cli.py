@@ -31,14 +31,13 @@ from .classify import (  # noqa: F401 (bench/worker.py patches cli.exact_varianc
 from .graphs import (
     DirectedGraph,
     build_binary_graph,
-    graph_from_json,
     load_graph,
     read_graph,
     save_graph,
     validate_graph,
 )
 from .orbits import DEFAULT_CAP, EnumerationCapExceeded, enumerate_pseudo_orbits
-from .quantize import build_bond_scattering, lengths_from_json, sample_bond_lengths
+from .quantize import BondLengths, build_bond_scattering, sample_bond_lengths
 from .spectral import DEFAULT_K_MAX, mc_variance, minor_sum_variance
 
 EXIT_OK = 0
@@ -65,29 +64,25 @@ def graph_sha256(graph: DirectedGraph) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _resolve_graph(args) -> DirectedGraph:
+def _resolve_graph(args) -> tuple[DirectedGraph, list | None]:
+    """The graph, with the lengths stored in --graph-file (None if none)."""
     if args.graph_file:
         return load_graph(args.graph_file)
     if args.p is not None and args.r is not None:
-        return build_binary_graph(args.p, args.r)
+        return build_binary_graph(args.p, args.r), None
     raise ValueError("provide --graph-file, or both --p and --r")
 
 
 def _resolve_graph_and_lengths(args):
     """The graph and its bond lengths: the ones stored in --graph-file,
-    parsed once with the graph, else drawn from --seed."""
-    stored = None
-    if args.graph_file:
-        data = json.loads(Path(args.graph_file).read_text())
-        graph = graph_from_json(data, args.graph_file)
-        stored = lengths_from_json(data)
-    else:
-        graph = _resolve_graph(args)
+    else drawn from --seed."""
+    graph, stored = _resolve_graph(args)
     if stored is None:
         return graph, sample_bond_lengths(graph, args.seed)
-    if len(stored) != graph.num_bonds:
+    lengths = BondLengths(values=stored)
+    if len(lengths) != graph.num_bonds:
         raise ValueError("stored lengths do not match the bond count")
-    return graph, stored
+    return graph, lengths
 
 
 def _checked_index(n: int, B: int) -> int:
@@ -145,7 +140,7 @@ def cmd_graph_gen(args) -> int:
 
 
 def cmd_graph_validate(args) -> int:
-    graph = read_graph(args.graph_file)
+    graph, _ = read_graph(args.graph_file)
     report = validate_graph(graph)
     problems = list(report.problems)
     if list(graph.bonds) != sorted(graph.bonds):
@@ -165,7 +160,7 @@ def cmd_graph_validate(args) -> int:
 
 
 def cmd_orbits_enumerate(args) -> int:
-    graph = _resolve_graph(args)
+    graph, _ = _resolve_graph(args)
     pos = enumerate_pseudo_orbits(graph, args.n, mode=args.mode, cap=args.cap)
     buf = io.StringIO()
     write_orbit_dump(graph, pos, buf)
@@ -174,7 +169,7 @@ def cmd_orbits_enumerate(args) -> int:
 
 
 def cmd_orbits_classify(args) -> int:
-    graph = _resolve_graph(args)
+    graph, _ = _resolve_graph(args)
     counts = class_counts(graph, args.n, mode=args.mode)
     variance = variance_from_classes(counts)
     payload = {
@@ -202,7 +197,7 @@ def _exact_columns(graph: DirectedGraph, ns: list[int]):
 
 
 def cmd_variance_exact(args) -> int:
-    graph = _resolve_graph(args)
+    graph, _ = _resolve_graph(args)
     ns = _index_range(args, graph.num_bonds)
     _, exact = _exact_columns(graph, ns)
     rows = [[_fmt(n), _fmt(frac), _fmt(float(frac))] for n, frac in zip(ns, exact)]
@@ -215,7 +210,7 @@ def _oracle_feasible(B: int, n: int) -> bool:
 
 
 def cmd_variance_oracle(args) -> int:
-    graph = _resolve_graph(args)
+    graph, _ = _resolve_graph(args)
     S = build_bond_scattering(graph)
     ns = _index_range(args, graph.num_bonds)
     for n in ns:
@@ -269,7 +264,7 @@ def cmd_variance_mc(args) -> int:
 
 
 def cmd_variance_diagonal(args) -> int:
-    graph = _resolve_graph(args)
+    graph, _ = _resolve_graph(args)
     ns = _index_range(args, graph.num_bonds)
     counts = pseudo_orbit_counts(graph, ns[-1])
     values = [Fraction(counts[n], 2**n) for n in ns]
@@ -307,6 +302,8 @@ def _reference_mismatches(path: str, header: list[str], rows: list[list[str]]) -
 
 def cmd_report_table(args) -> int:
     t_start = time.perf_counter()
+    if not 0 <= args.mc_tol < math.inf:
+        raise ValueError(f"--mc-tol must be finite and non-negative, got {args.mc_tol}")
     graph, lengths = _resolve_graph_and_lengths(args)
     rows, timings = _cross_check(args, graph, lengths)
 

@@ -4,7 +4,12 @@ Vertices are integers ``0..V-1``.  A bond is a directed edge ``(origin,
 terminus)``; the bond list is kept in canonical order (sorted by origin,
 then terminus, with parallel copies adjacent) and bond ids are positions
 in that list.  Every matrix, orbit, and subset downstream is indexed by
-these ids, so the ordering is part of the data contract.
+these ids, so the ordering is part of the data contract, and so are the
+port slots (``DirectedGraph.in_bonds`` and ``out_bonds``).
+
+A graph file is JSON, ``{"V": int, "bonds": [[u, v], ...]}`` in canonical
+bond order with an optional ``"lengths": [...]``; only this module writes
+and reads it.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -51,31 +56,27 @@ class DirectedGraph:
     def terminus(self, bond: int) -> int:
         return self.bonds[bond][1]
 
+    @cached_property
+    def in_bonds(self) -> tuple[tuple[int, ...], ...]:
+        """Ids of the bonds ending at each vertex, in ascending order.
 
-@dataclass(frozen=True)
-class VertexPorts:
-    """Bond ids incident to each vertex, in ascending order.
+        A bond's position in its vertex tuple (0 or 1 on a 4-regular graph)
+        is its port slot: it picks the column (in ``out_bonds``, the row) of
+        the 2x2 vertex scattering block, so this order fixes all signs
+        downstream.
+        """
+        return self._ports(1)
 
-    The position of a bond within its vertex tuple (0 or 1 on a 4-regular
-    graph) is the port slot that picks its row/column of the 2x2 vertex
-    scattering block, so this ordering fixes all signs downstream.
-    """
+    @cached_property
+    def out_bonds(self) -> tuple[tuple[int, ...], ...]:
+        """Ids of the bonds starting at each vertex, in ascending order."""
+        return self._ports(0)
 
-    in_bonds: tuple[tuple[int, ...], ...]
-    out_bonds: tuple[tuple[int, ...], ...]
-
-
-@lru_cache(maxsize=None)
-def vertex_ports(graph: DirectedGraph) -> VertexPorts:
-    ins: list[list[int]] = [[] for _ in range(graph.vertex_count)]
-    outs: list[list[int]] = [[] for _ in range(graph.vertex_count)]
-    for b, (u, v) in enumerate(graph.bonds):
-        outs[u].append(b)
-        ins[v].append(b)
-    return VertexPorts(
-        in_bonds=tuple(tuple(sorted(x)) for x in ins),
-        out_bonds=tuple(tuple(sorted(x)) for x in outs),
-    )
+    def _ports(self, end: int) -> tuple[tuple[int, ...], ...]:
+        slots: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for b, bond in enumerate(self.bonds):
+            slots[bond[end]].append(b)
+        return tuple(map(tuple, slots))
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,6 @@ class ValidationReport:
     four_regular: bool
     strongly_connected: bool
     bond_count_ok: bool
-    ports: VertexPorts
     problems: tuple[str, ...]
 
     @property
@@ -93,12 +93,10 @@ class ValidationReport:
 
 def validate_graph(graph: DirectedGraph) -> ValidationReport:
     """Check 2-in/2-out regularity, B = 2V, and strong connectivity."""
-    ports = vertex_ports(graph)
     problems: list[str] = []
     four_regular = True
     for v in range(graph.vertex_count):
-        n_in = len(ports.in_bonds[v])
-        n_out = len(ports.out_bonds[v])
+        n_in, n_out = len(graph.in_bonds[v]), len(graph.out_bonds[v])
         if (n_in, n_out) != (2, 2):
             four_regular = False
             problems.append(
@@ -119,7 +117,6 @@ def validate_graph(graph: DirectedGraph) -> ValidationReport:
         four_regular=four_regular,
         strongly_connected=strongly_connected,
         bond_count_ok=bond_count_ok,
-        ports=ports,
         problems=tuple(problems),
     )
 
@@ -224,11 +221,8 @@ def orient_four_regular(
 
 
 def save_graph(graph: DirectedGraph, path: str | Path, lengths=None) -> None:
-    """Write a graph (and optionally its bond lengths) as JSON.
-
-    Format: ``{"V": int, "bonds": [[u, v], ...]}`` with the bond list in
-    canonical order, plus ``"lengths": [...]`` when given.
-    """
+    """Write a graph file (see the module docstring), with the bond lengths
+    when given."""
     payload: dict = {
         "V": graph.vertex_count,
         "bonds": [[u, v] for u, v in graph.bonds],
@@ -241,33 +235,28 @@ def save_graph(graph: DirectedGraph, path: str | Path, lengths=None) -> None:
     Path(path).write_text(json.dumps(payload, indent=1) + "\n")
 
 
-def _graph_as_written(data, source: str | Path) -> DirectedGraph:
+def read_graph(path: str | Path) -> tuple[DirectedGraph, list | None]:
+    """Parse a graph JSON file as written: the graph and the stored
+    ``"lengths"`` entry (None without one).  Bond order, validity and the
+    lengths are not checked (see :func:`load_graph`), but a ``V`` above the
+    bond count is rejected before anything is built per vertex."""
+    data = json.loads(Path(path).read_text())
     try:
         vertex_count = int(data["V"])
         bonds = tuple((int(u), int(v)) for u, v in data["bonds"])
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed graph file {source}: {exc}") from exc
-    return DirectedGraph(vertex_count, bonds)
+        raise ValueError(f"malformed graph file {path}: {exc}") from exc
+    if vertex_count > len(bonds):  # B = 2V on a valid graph
+        raise ValueError(f"malformed graph file {path}: V={vertex_count} exceeds B={len(bonds)}")
+    return DirectedGraph(vertex_count, bonds), data.get("lengths")
 
 
-def read_graph(path: str | Path) -> DirectedGraph:
-    """Parse a graph JSON file as written; bond order and validity are not
-    checked (see :func:`load_graph`)."""
-    return _graph_as_written(json.loads(Path(path).read_text()), path)
-
-
-def graph_from_json(data, source: str | Path) -> DirectedGraph:
-    """The graph of an already parsed graph file, enforcing canonical bond
-    order and validity; ``source`` names the file in error messages."""
-    graph = _graph_as_written(data, source)
+def load_graph(path: str | Path) -> tuple[DirectedGraph, list | None]:
+    """:func:`read_graph`, enforcing canonical bond order and validity."""
+    graph, lengths = read_graph(path)
     if list(graph.bonds) != sorted(graph.bonds):
-        raise ValueError(f"{source}: bond list is not in canonical (origin, terminus) order")
+        raise ValueError(f"{path}: bond list is not in canonical (origin, terminus) order")
     report = validate_graph(graph)
     if not report.passed:
-        raise ValueError(f"{source}: invalid graph: " + "; ".join(report.problems))
-    return graph
-
-
-def load_graph(path: str | Path) -> DirectedGraph:
-    """Read a graph JSON file, enforcing canonical bond order and validity."""
-    return graph_from_json(json.loads(Path(path).read_text()), path)
+        raise ValueError(f"{path}: invalid graph: " + "; ".join(report.problems))
+    return graph, lengths

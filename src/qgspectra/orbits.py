@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import DirectedGraph, vertex_ports
+from .graphs import DirectedGraph
 from .lyndon import is_lyndon
 from .quantize import transition_sign
 
@@ -234,8 +234,7 @@ def primitive_orbits(
     """All primitive periodic orbits of length <= max_len, canonical and
     sorted by (length, bonds); repeated bonds within a walk are allowed.
     Each is found once, as the Lyndon walk from its minimal bond."""
-    ports = vertex_ports(graph)
-    followers = [ports.out_bonds[graph.terminus(b)] for b in range(graph.num_bonds)]
+    followers = [graph.out_bonds[v] for _, v in graph.bonds]
     found: list[tuple[int, ...]] = []
     steps = 0
 

@@ -4,18 +4,18 @@ Every vertex scatters waves between its two incoming and two outgoing
 bonds through the 2x2 discrete-Fourier-transform block.  Assembled
 bond-to-bond these blocks form the unitary scattering matrix S, and
 together with a vector of incommensurate bond lengths the evolution
-operator U(k) = S diag(e^{i k L_b}).
+operator U(k) = S diag(e^{i k L_b}).  Port slots are the graph's own
+(``DirectedGraph.in_bonds``/``out_bonds``); :class:`BondLengths` checks
+lengths, including those a graph file stores.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .graphs import DirectedGraph, VertexPorts, validate_graph, vertex_ports
+from .graphs import DirectedGraph, validate_graph
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 LENGTH_INTERVAL = (1.0, 2.0)  # [low, high) of sampled bond lengths
@@ -41,8 +41,7 @@ def transition_sign(graph: DirectedGraph, bond: int, next_bond: int) -> int:
     v = graph.terminus(bond)
     if graph.origin(next_bond) != v:
         raise ValueError(f"bonds {bond} -> {next_bond} are not adjacent")
-    ports = vertex_ports(graph)
-    negative = ports.in_bonds[v].index(bond) == 1 and ports.out_bonds[v].index(next_bond) == 1
+    negative = graph.in_bonds[v].index(bond) == 1 and graph.out_bonds[v].index(next_bond) == 1
     return -1 if negative else 1
 
 
@@ -56,7 +55,6 @@ class BondScattering:
     """
 
     graph: DirectedGraph
-    ports: VertexPorts
     matrix: np.ndarray
 
     @property
@@ -71,23 +69,22 @@ class BondScattering:
 def build_bond_scattering(graph: DirectedGraph) -> BondScattering:
     """Assemble S from the per-vertex DFT blocks.
 
-    Port slots are positions in the ascending bond-id tuples of
-    :class:`VertexPorts`; entry signs therefore agree with
+    Port slots are positions in the graph's ascending ``in_bonds`` and
+    ``out_bonds`` tuples; entry signs therefore agree with
     :func:`transition_sign` by construction.
     """
     report = validate_graph(graph)
     if not report.passed:
         raise ValueError("graph failed validation: " + "; ".join(report.problems))
-    ports = report.ports
     sigma = dft_vertex_matrix()
     B = graph.num_bonds
     matrix = np.zeros((B, B), dtype=complex)
     for v in range(graph.vertex_count):
-        for col, b_in in enumerate(ports.in_bonds[v]):
-            for row, b_out in enumerate(ports.out_bonds[v]):
+        for col, b_in in enumerate(graph.in_bonds[v]):
+            for row, b_out in enumerate(graph.out_bonds[v]):
                 matrix[b_out, b_in] = sigma[row, col]
     matrix.flags.writeable = False
-    return BondScattering(graph=graph, ports=ports, matrix=matrix)
+    return BondScattering(graph=graph, matrix=matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,18 +127,6 @@ def sample_bond_lengths(graph: DirectedGraph, seed: int) -> BondLengths:
     while np.unique(values).size != values.size:  # astronomically rare
         values = rng.uniform(*LENGTH_INTERVAL, graph.num_bonds)
     return BondLengths(values=values)
-
-
-def lengths_from_json(data) -> BondLengths | None:
-    """The optional ``"lengths"`` entry of an already parsed graph file."""
-    if "lengths" not in data:
-        return None
-    return BondLengths(values=np.asarray(data["lengths"], dtype=float))
-
-
-def load_lengths(path: str | Path) -> BondLengths | None:
-    """Read the optional ``"lengths"`` entry of a graph JSON file."""
-    return lengths_from_json(json.loads(Path(path).read_text()))
 
 
 def evolution_operator(S: BondScattering, lengths: BondLengths, k: float) -> np.ndarray:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import qgspectra as q
@@ -33,3 +35,38 @@ def lengths8(debruijn8):
 @pytest.fixture(scope="session")
 def lengths6(binary6):
     return q.sample_bond_lengths(binary6, 202)
+
+
+def seeded_four_regular(seed: int) -> q.DirectedGraph:
+    """A 2-in/2-out orientation of a seeded configuration-model multigraph
+    on 4..8 vertices (self-loops and parallel edges allowed), redrawn until
+    it is connected."""
+    rng = random.Random(seed)
+    while True:
+        V = rng.randint(4, 8)
+        stubs = [v for v in range(V) for _ in range(4)]
+        rng.shuffle(stubs)
+        try:
+            return q.orient_four_regular(zip(stubs[::2], stubs[1::2]), vertex_count=V)
+        except ValueError:  # disconnected draw
+            continue
+
+
+RANDOM_GRAPH_SEEDS = (1, 2, 3, 4, 5, 6)
+GRAPH_FAMILY = {
+    **{f"binary-{p}-{r}": (q.build_binary_graph, p, r)
+       for p, r in ((1, 3), (3, 1), (3, 2), (5, 1))},
+    **{f"random-{s}": (seeded_four_regular, s) for s in RANDOM_GRAPH_SEEDS},
+}
+
+
+@pytest.fixture(scope="session", params=sorted(GRAPH_FAMILY))
+def family_graph(request):
+    """Binary graphs and seeded random 4-regular graphs, one per test case."""
+    build, *params = GRAPH_FAMILY[request.param]
+    return build(*params)
+
+
+@pytest.fixture(scope="session")
+def random_graphs():
+    return [seeded_four_regular(s) for s in RANDOM_GRAPH_SEEDS]

@@ -363,6 +363,15 @@ def test_config_error_exits(tmp_path, capsys):
     assert main(["orbits", "classify", "--p", "3", "--r", "1", "--n", "2",
                  "--cap", "10"]) == EXIT_CONFIG
     capsys.readouterr()
+    # a tolerance that no comparison can fail would switch the MC gate off
+    table = ["report", "table", "--p", "3", "--r", "1", "--samples", "200",
+             "--seed", "1", "--kmax", "1e-3"]
+    assert main(table) == EXIT_MC_DIVERGED
+    capsys.readouterr()
+    for tol in ("nan", "inf", "-1"):
+        assert main(table + ["--mc-tol", tol]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and "--mc-tol" in err
 
 
 @pytest.mark.parametrize("mode", ["general", "bond_distinct"])

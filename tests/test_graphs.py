@@ -1,13 +1,17 @@
 """Graph construction, validation, orientation, and file round trips."""
 
+import os
+import subprocess
+import sys
 from collections import Counter, deque
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qgspectra as q
-from qgspectra.graphs import DirectedGraph, vertex_ports
+from qgspectra.graphs import DirectedGraph
 
 DEBRUIJN8_BONDS = (
     (0, 0), (0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7),
@@ -35,11 +39,10 @@ def test_binary6_bond_table(binary6):
 def test_binary_graph_successors_and_predecessors(debruijn8):
     # vertex i feeds 2i and 2i+1 (mod V); j is fed by j//2 and j//2 + V/2
     V = debruijn8.vertex_count
-    ports = vertex_ports(debruijn8)
     for j in range(V):
-        sources = {debruijn8.origin(b) for b in ports.in_bonds[j]}
+        sources = {debruijn8.origin(b) for b in debruijn8.in_bonds[j]}
         assert sources == {j // 2, j // 2 + V // 2}
-        targets = {debruijn8.terminus(b) for b in ports.out_bonds[j]}
+        targets = {debruijn8.terminus(b) for b in debruijn8.out_bonds[j]}
         assert targets == {(2 * j) % V, (2 * j + 1) % V}
 
 
@@ -60,11 +63,33 @@ def test_directed_graph_rejects_unknown_vertex():
 
 
 def test_ports_are_ascending(debruijn8):
-    ports = vertex_ports(debruijn8)
     for v in range(debruijn8.vertex_count):
-        assert list(ports.in_bonds[v]) == sorted(ports.in_bonds[v])
-        assert list(ports.out_bonds[v]) == sorted(ports.out_bonds[v])
-        assert len(ports.in_bonds[v]) == len(ports.out_bonds[v]) == 2
+        assert list(debruijn8.in_bonds[v]) == sorted(debruijn8.in_bonds[v])
+        assert list(debruijn8.out_bonds[v]) == sorted(debruijn8.out_bonds[v])
+        assert len(debruijn8.in_bonds[v]) == len(debruijn8.out_bonds[v]) == 2
+
+
+def test_ports_match_a_scan_of_the_bonds(family_graph):
+    g = family_graph
+    for v in range(g.vertex_count):
+        assert g.in_bonds[v] == tuple(b for b, (_, w) in enumerate(g.bonds) if w == v)
+        assert g.out_bonds[v] == tuple(b for b, (u, _) in enumerate(g.bonds) if u == v)
+    assert g.in_bonds is g.in_bonds and g.out_bonds is g.out_bonds  # computed once
+
+
+def test_random_graphs_have_loops_and_parallel_bonds(random_graphs):
+    assert any(u == v for g in random_graphs for u, v in g.bonds)
+    assert any(max(Counter(g.bonds).values()) > 1 for g in random_graphs)
+
+
+def test_ports_take_no_part_in_equality(family_graph):
+    fresh = DirectedGraph(family_graph.vertex_count, family_graph.bonds)
+    assert "in_bonds" in vars(family_graph)  # read by validation
+    assert "in_bonds" not in vars(fresh) and "out_bonds" not in vars(fresh)
+    assert fresh == family_graph and hash(fresh) == hash(family_graph)
+    assert repr(fresh) == repr(family_graph)
+    fresh.in_bonds, fresh.out_bonds
+    assert fresh == family_graph and hash(fresh) == hash(family_graph)
 
 
 def test_validation_passes_on_table_graphs(debruijn8, binary6):
@@ -162,16 +187,16 @@ def test_orientation_property(vg):
 def test_save_load_roundtrip(tmp_path, debruijn8):
     path = tmp_path / "g.json"
     q.save_graph(debruijn8, path)
-    assert q.load_graph(path) == debruijn8
+    assert q.load_graph(path) == (debruijn8, None)
 
 
 def test_save_load_with_lengths(tmp_path, binary6, lengths6):
     path = tmp_path / "g6.json"
     q.save_graph(binary6, path, lengths=lengths6)
-    assert q.load_graph(path) == binary6
-    stored = q.load_lengths(path)
+    graph, stored = q.load_graph(path)
+    assert graph == binary6
     assert stored is not None
-    assert list(stored.values) == pytest.approx(list(lengths6.values))
+    assert list(stored) == pytest.approx(list(lengths6.values))
 
 
 def test_save_rejects_wrong_length_count(tmp_path, binary6):
@@ -200,3 +225,40 @@ def test_load_rejects_malformed_file(tmp_path):
     path.write_text('{"vertices": 3}')
     with pytest.raises(ValueError, match="malformed"):
         q.load_graph(path)
+    # a 2-in/2-out graph has V = B/2; V above B is refused before any
+    # per-vertex structure is built
+    path.write_text('{"V": 9, "bonds": %s}' % [list(b) for b in DEBRUIJN8_BONDS[:8]])
+    for read in (q.read_graph, q.load_graph):
+        with pytest.raises(ValueError, match="malformed graph file .*V=9 exceeds B=8"):
+            read(path)
+
+
+def test_read_graph_returns_the_file_as_written(tmp_path):
+    path = tmp_path / "swapped.json"
+    bonds = [list(b) for b in reversed(BINARY6_BONDS)]
+    path.write_text('{"V": 6, "bonds": %s, "lengths": [1.5]}' % bonds)
+    graph, stored = q.read_graph(path)
+    assert graph.bonds == tuple(reversed(BINARY6_BONDS))
+    assert stored == [1.5]  # not checked here: BondLengths checks lengths
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
+def test_huge_vertex_count_fails_without_allocating(tmp_path):
+    # the child caps its own address space at 1 GB, where building 10**12
+    # per-vertex lists would end in a MemoryError traceback
+    child = (
+        "import resource, runpy, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "sys.argv = ['qgspectra', 'graph', 'validate', '--graph-file', sys.argv[1]]\n"
+        "runpy.run_module('qgspectra.cli', run_name='__main__')\n"
+    )
+    path = tmp_path / "huge.json"
+    path.write_text('{"V": 1000000000000, "bonds": []}')
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", child, str(path)], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "V=1000000000000 exceeds B=0" in proc.stderr

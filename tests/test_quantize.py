@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import qgspectra as q
-from qgspectra.graphs import vertex_ports
 from qgspectra.quantize import BondLengths, dft_vertex_matrix, evolution_operator
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -37,9 +36,9 @@ def test_scattering_is_unitary(fixture, request):
     assert S.unitarity_defect() < 1e-12
 
 
-def test_scattering_entry_structure(debruijn8, scattering8):
-    g, S = debruijn8, scattering8.matrix
-    B = debruijn8.num_bonds
+def test_scattering_entry_structure(family_graph):
+    g, S = family_graph, q.build_bond_scattering(family_graph).matrix
+    B = g.num_bonds
     for b_in in range(B):
         for b_out in range(B):
             if g.terminus(b_in) == g.origin(b_out):
@@ -51,11 +50,10 @@ def test_scattering_entry_structure(debruijn8, scattering8):
 
 
 def test_scattering_has_one_negative_entry_per_vertex(debruijn8, scattering8):
-    ports = vertex_ports(debruijn8)
     negatives = np.argwhere(scattering8.matrix.real < -0.1)
     assert len(negatives) == debruijn8.vertex_count
     expected = {
-        (ports.out_bonds[v][1], ports.in_bonds[v][1])
+        (debruijn8.out_bonds[v][1], debruijn8.in_bonds[v][1])
         for v in range(debruijn8.vertex_count)
     }
     assert {tuple(rc) for rc in negatives} == expected

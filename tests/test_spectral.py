@@ -7,7 +7,6 @@ import pytest
 
 import qgspectra as q
 from qgspectra import spectral
-from qgspectra.graphs import vertex_ports
 from qgspectra.quantize import BondScattering, evolution_operator
 from qgspectra.spectral import (
     CoefficientVector,
@@ -192,9 +191,7 @@ def test_mc_rejects_bad_arguments(binary6, scattering6, lengths6, lengths8):
         mc_variance(scattering6, lengths6, [99], samples=10, seed=0)
     with pytest.raises(ValueError):
         mc_variance(scattering6, lengths6, [0], samples=10, seed=0, k_max=0.0)
-    shrunk = BondScattering(
-        graph=binary6, ports=vertex_ports(binary6), matrix=0.5 * np.eye(12, dtype=complex)
-    )
+    shrunk = BondScattering(graph=binary6, matrix=0.5 * np.eye(12, dtype=complex))
     with pytest.raises(ValueError, match="not unitary"):
         mc_variance(shrunk, lengths6, [0], samples=10, seed=0)
 
