@@ -9,7 +9,9 @@ the ways repeated bonds can regroup into orbits, and the index
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -85,32 +87,46 @@ def _normalize_content(content) -> Counter:
 
 def lyndon_tuples(content) -> list[LyndonTuple]:
     """All Lyndon tuples whose words jointly use exactly the multiset
-    ``content`` (a mapping letter -> count, or an iterable of letters)."""
+    ``content`` (a mapping letter -> count, or an iterable of letters).
+
+    Every word is held as a vector of per-letter counts, built once.  A
+    Lyndon word begins with its smallest letter and the search takes words
+    in lexicographic order, so the smallest letter left must be covered by
+    the next word chosen: the search only tries the words that begin with it.
+    """
     counts = _normalize_content(content)
     if not counts:
         raise ValueError("content must be a nonempty multiset")
     total = sum(counts.values())
     alphabet = max(counts)
-    candidates = [
-        w for w in lyndon_words(alphabet, total) if not Counter(w) - counts
-    ]
+    supply = tuple(counts[a] for a in range(1, alphabet + 1))
+    candidates: list[Word] = []
+    needs: list[tuple[int, ...]] = []
+    for w in lyndon_words(alphabet, total):
+        need = [0] * alphabet
+        for a in w:
+            need[a - 1] += 1
+        if all(map(operator.le, need, supply)):
+            candidates.append(w)
+            needs.append(tuple(need))
+    # candidates[first[a]:first[a + 1]] are the words that begin with letter a
+    first = [bisect.bisect_left(candidates, (a,)) for a in range(1, alphabet + 2)]
     results: list[LyndonTuple] = []
     chosen: list[Word] = []
 
-    def search(start: int, remaining: Counter) -> None:
-        if not remaining:
+    def search(start: int, remaining: tuple[int, ...], left: int) -> None:
+        if not left:
             results.append(LyndonTuple(words=tuple(chosen)))
             return
-        for j in range(start, len(candidates)):
-            w = candidates[j]
-            need = Counter(w)
-            if need - remaining:
-                continue
-            chosen.append(w)
-            search(j + 1, remaining - need)
-            chosen.pop()
+        lowest = next(a for a, c in enumerate(remaining) if c)
+        for j in range(max(start, first[lowest]), first[lowest + 1]):
+            need = needs[j]
+            if all(map(operator.le, need, remaining)):
+                chosen.append(candidates[j])
+                search(j + 1, tuple(map(operator.sub, remaining, need)), left - len(candidates[j]))
+                chosen.pop()
 
-    search(0, counts)
+    search(0, supply, total)
     return sorted(results, key=lambda t: t.words)
 
 

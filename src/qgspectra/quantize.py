@@ -91,14 +91,21 @@ def build_bond_scattering(graph: DirectedGraph) -> BondScattering:
 class BondLengths:
     """Finite, positive, pairwise-distinct bond lengths (the diagonal of L).
 
-    Infinite or NaN entries are rejected here rather than inside the
-    eigenvalue solver.
+    Infinite or NaN entries, and values that are not a vector of numbers
+    (such as a JSON object read from a graph file), are rejected here
+    rather than inside the eigenvalue solver.
     """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float).copy()
+        try:
+            values = np.array(self.values)
+        except ValueError as exc:  # ragged nesting
+            raise ValueError(f"lengths must be a vector of numbers: {exc}") from exc
+        if values.dtype.kind not in "iuf":  # objects, strings, booleans
+            raise ValueError(f"lengths must be a vector of numbers, got {values.dtype} entries")
+        values = values.astype(float, copy=False)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("lengths must form a nonempty 1-d vector")
         if not np.all(np.isfinite(values)):

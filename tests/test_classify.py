@@ -22,7 +22,12 @@ from qgspectra.classify import (
     write_orbit_dump,
 )
 from qgspectra.graphs import DirectedGraph
-from qgspectra.orbits import enumerate_pseudo_orbits, group_by_bond_multiset, make_pseudo_orbit
+from qgspectra.orbits import (
+    PseudoOrbit,
+    enumerate_pseudo_orbits,
+    group_by_bond_multiset,
+    make_pseudo_orbit,
+)
 from qgspectra.spectral import minor_sum_variance
 
 V8_P0 = [1, 2, 2, 4, 8, 8, 8, 16, 16]
@@ -242,6 +247,48 @@ def test_c_gamma_rejects_foreign_partner(binary6):
     b = make_pseudo_orbit(binary6, [(11,)])
     with pytest.raises(ValueError):
         q.c_gamma(binary6, a, [a, b])
+
+
+def test_c_gamma_rejects_partner_with_other_multiplicities():
+    # bonds {1, 1, 2} against {1, 2, 2}: one bond set, one length, but two
+    # bond multisets, so a set or length comparison would let it through
+    graph = DirectedGraph(1, ((0, 0),) * 3)
+    a = PseudoOrbit(orbits=((1,), (1, 2)), total_bonds=3, orbit_count=2, amp_sign=1)
+    b = PseudoOrbit(orbits=((1, 2), (2,)), total_bonds=3, orbit_count=2, amp_sign=1)
+    with pytest.raises(ValueError, match="different bond multiset"):
+        q.c_gamma(graph, a, [a, b])
+    with pytest.raises(ValueError, match="different bond multiset"):
+        q.c_gamma(graph, b, [a, b])
+
+
+def test_c_gamma_of_a_lone_pseudo_orbit(binary6):
+    for orbits in ([(0,)], [(0, 1, 3, 6)], [(3, 7), (4, 8)], [(0,), (0, 1, 3, 6)]):
+        po = make_pseudo_orbit(binary6, orbits)
+        assert q.c_gamma(binary6, po, [po]) == Fraction(po.weight_sign**2, 2**po.total_bonds)
+
+
+def test_c_gamma_over_every_general_pseudo_orbit(debruijn8):
+    """Pinned partner sums at n = 8 on B = 16: 0 for each repeated-bond
+    pseudo orbit, 2^(N-n) for the rest, with N read off the visit profile."""
+    n = 8
+    pos = enumerate_pseudo_orbits(debruijn8, n, mode="general")
+    groups = group_by_bond_multiset(pos)
+    assert (len(pos), len(groups)) == (128, 62)
+    assert len({tuple(sorted(b for orbit in po.orbits for b in orbit)) for po in pos}) == 62
+    repeated = 0
+    total = Fraction(0)
+    for group in groups.values():
+        for po in group:
+            c = q.c_gamma(debruijn8, po, group)
+            profile = visit_profile(debruijn8, po)
+            if profile.repeated_bonds:
+                repeated += 1
+                assert c == 0
+            else:
+                assert c == Fraction(2 ** len(profile.doubly_visited), 2**n)
+            total += c
+    assert repeated == 72
+    assert total == exact_variance(debruijn8, n) == Fraction(9, 16)
 
 
 def test_c_gamma_cancellation_at_n5(binary6):

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -193,6 +194,19 @@ def test_variance_mc_parses_graph_file_once(tmp_path, monkeypatch, binary6):
     (row,) = _read_csv(out)
     (est,) = q.mc_variance(q.build_bond_scattering(binary6), stored, [2], samples=64, seed=9)
     assert float(row["mc_mean"]) == est.mean  # the stored lengths, not --seed's
+
+
+@pytest.mark.parametrize(
+    "stored", [{"a": 1}, [[1.0, 1.1], [1.2]], [str(1 + b / 16) for b in range(12)]]
+)
+def test_malformed_stored_lengths_exit_config(tmp_path, capsys, binary6, stored):
+    path = tmp_path / "g.json"
+    save_graph(binary6, path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), "lengths": stored}))
+    for command in (["variance", "mc"], ["report", "table"]):
+        assert main([*command, "--graph-file", str(path), "--n", "2", "--samples", "10",
+                     "--out", str(tmp_path / "out.csv")]) == EXIT_CONFIG
+        assert "lengths must be a vector of numbers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", [4, 10])
@@ -385,6 +399,20 @@ def test_module_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "qgspectra.cli", "--help"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0
+    assert "report" in proc.stdout
+
+
+def test_declared_console_entry_help():
+    # the function pyproject.toml installs as the qgspectra script, run
+    # without installing it
+    root = Path(__file__).resolve().parents[1]
+    scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+    module, function = scripts["qgspectra"].split(":")
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import {module}; {module}.{function}()", "--help"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(root / "src")},
     )
     assert proc.returncode == 0
     assert "report" in proc.stdout

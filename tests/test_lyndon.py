@@ -121,6 +121,44 @@ def test_single_letter_content():
     assert tuple_parity_census({1: 3}) == (0, 0)
 
 
+def _set_partitions(items):
+    """Every partition of the list ``items`` into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    head, rest = items[0], items[1:]
+    for partition in _set_partitions(rest):
+        yield [[head], *partition]
+        for i in range(len(partition)):
+            yield [*partition[:i], [head, *partition[i]], *partition[i + 1:]]
+
+
+def _brute_force_tuples(content):
+    """Lyndon tuples over ``content`` without the word generator: split the
+    letters into blocks every way, arrange each block every way, keep the
+    arrangements of distinct Lyndon words."""
+    letters = [a for a, c in sorted(content.items()) for _ in range(c)]
+    found = set()
+    for partition in _set_partitions(letters):
+        arrangements = [{w for w in itertools.permutations(block) if is_lyndon(w)}
+                        for block in partition]
+        for words in itertools.product(*arrangements):
+            if len(set(words)) == len(words):
+                found.add(tuple(sorted(words)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("content", [
+    {1: 1}, {1: 3}, {1: 2, 3: 1}, {2: 2, 5: 1}, {1: 2, 2: 2}, {1: 3, 2: 1},
+    {1: 1, 2: 1, 3: 1}, {1: 2, 2: 1, 3: 2}, {2: 1, 4: 2, 7: 1}, {1: 3, 2: 3},
+])
+def test_tuples_match_brute_force(content):
+    expected = _brute_force_tuples(content)
+    assert [t.words for t in lyndon_tuples(content)] == expected
+    even = sum(1 for words in expected if (sum(map(len, words)) - len(words)) % 2 == 0)
+    assert tuple_parity_census(content) == (even, len(expected) - even)
+
+
 def test_tuples_reject_bad_content():
     with pytest.raises(ValueError):
         lyndon_tuples({})

@@ -90,6 +90,9 @@ def test_bond_lengths_validation():
         BondLengths(values=np.array([]))
     with pytest.raises(ValueError, match="finite"):
         BondLengths(values=np.array([1.0, np.inf]))
+    for stored in ({"a": 1}, [[1.0], [1.1, 1.2]], ["1.0", "1.5"], [None, 1.5]):
+        with pytest.raises(ValueError, match="vector of numbers"):
+            BondLengths(values=stored)
     lengths = BondLengths(values=np.array([1.0, 1.5]))
     with pytest.raises(ValueError):
         lengths.values[0] = 2.0
