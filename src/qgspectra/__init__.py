@@ -11,7 +11,6 @@ proves the cancellations behind the exact formula.
 from .classify import (
     ClassCounts,
     OrbitClass,
-    VisitProfile,
     c_gamma,
     class_census,
     class_counts,
@@ -21,7 +20,6 @@ from .classify import (
     pseudo_orbit_counts,
     pseudo_orbit_record,
     variance_from_classes,
-    visit_profile,
     write_orbit_dump,
 )
 from .graphs import (
@@ -88,7 +86,6 @@ __all__ = [
     "PseudoOrbit",
     "ValidationReport",
     "VarianceEstimate",
-    "VisitProfile",
     "admissible_subsets",
     "build_binary_graph",
     "build_bond_scattering",
@@ -126,6 +123,5 @@ __all__ = [
     "tuple_parity_census",
     "validate_graph",
     "variance_from_classes",
-    "visit_profile",
     "write_orbit_dump",
 ]

@@ -39,39 +39,6 @@ from .orbits import PseudoOrbit
 
 
 @dataclass(frozen=True)
-class VisitProfile:
-    """Traversal counts of a pseudo orbit.
-
-    ``visit_counts[v]`` is the number of passages through vertex v (bonds
-    entering v, counted with multiplicity); ``repeated_bonds`` lists
-    (bond id, multiplicity) for every bond used more than once.
-    """
-
-    visit_counts: tuple[int, ...]
-    repeated_bonds: tuple[tuple[int, int], ...]
-    doubly_visited: tuple[int, ...]
-    higher_visits: tuple[int, ...]
-
-
-def visit_profile(graph: DirectedGraph, pseudo_orbit: PseudoOrbit) -> VisitProfile:
-    counts = [0] * graph.vertex_count
-    bond_counts: Counter = Counter()
-    for orbit in pseudo_orbit.orbits:
-        for b in orbit:
-            counts[graph.terminus(b)] += 1
-            bond_counts[b] += 1
-    repeated = tuple(sorted((b, c) for b, c in bond_counts.items() if c >= 2))
-    doubly = tuple(v for v, c in enumerate(counts) if c == 2)
-    higher = tuple(v for v, c in enumerate(counts) if c >= 3)
-    return VisitProfile(
-        visit_counts=tuple(counts),
-        repeated_bonds=repeated,
-        doubly_visited=doubly,
-        higher_visits=higher,
-    )
-
-
-@dataclass(frozen=True)
 class OrbitClass:
     """Classification tag: "P0", "PhatN" (with N encounters), or "excluded"."""
 
@@ -92,13 +59,10 @@ def classify_pseudo_orbit(graph: DirectedGraph, pseudo_orbit: PseudoOrbit) -> Or
     exactly N vertices passed twice (a self-loop beside a second passage
     counts like any other encounter).  A repeated bond means an encounter
     of positive length or of multiplicity above two; those classes carry
-    zero total weight and are excluded.
-
-    Works from the same counts as :func:`visit_profile` but builds no
-    profile, since a cancellation audit classifies every general-mode
-    pseudo orbit.
+    zero total weight and are excluded.  A passage through a vertex is a
+    bond entering it, counted with multiplicity.
     """
-    bonds = list(itertools.chain.from_iterable(pseudo_orbit.orbits))
+    bonds = pseudo_orbit.bonds
     if len(set(bonds)) < len(bonds):
         return OrbitClass("excluded", None, "repeated bond")
     visits = Counter([graph.bonds[b][1] for b in bonds]).values()
@@ -302,27 +266,16 @@ def c_gamma(
     C = sum over partners gamma' of (-1)^(m+m') A A'; the caller supplies
     the partner set (all pseudo orbits sharing the bond multiset,
     including the pseudo orbit itself).  Equals 2^(N-n) for bond-distinct
-    pseudo orbits and 0 for repeated-bond ones.
-
-    Each partner costs one sort of its bonds: two bond multisets are equal
-    exactly when their sorted bond lists are, and a list is several times
-    cheaper to build than :meth:`PseudoOrbit.bond_multiset`.  Nothing is
-    cached on the pseudo orbit: a cancellation audit holds tens of
-    thousands of them, and a stored bond list on each raised its peak
-    memory by about 12%.
+    pseudo orbits and 0 for repeated-bond ones.  Each partner is checked
+    against the pseudo orbit by its :attr:`PseudoOrbit.bonds`.
     """
-    reference = _sorted_bonds(pseudo_orbit)
+    reference = pseudo_orbit.bonds
     total = 0
     for partner in partners:
-        if _sorted_bonds(partner) != reference:
+        if partner.bonds != reference:
             raise ValueError("partner set contains a different bond multiset")
         total += partner.weight_sign
-    return Fraction(pseudo_orbit.weight_sign * total, 2**pseudo_orbit.total_bonds)
-
-
-def _sorted_bonds(pseudo_orbit: PseudoOrbit) -> list[int]:
-    """Every bond of the pseudo orbit, with multiplicity, in ascending order."""
-    return sorted(itertools.chain.from_iterable(pseudo_orbit.orbits))
+    return Fraction(pseudo_orbit.weight_sign * total, 2 ** len(reference))
 
 
 def diagonal_approximation(graph: DirectedGraph, n: int) -> Fraction:

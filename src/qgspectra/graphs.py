@@ -8,8 +8,9 @@ these ids, so the ordering is part of the data contract, and so are the
 port slots (``DirectedGraph.in_bonds`` and ``out_bonds``).
 
 A graph file is JSON, ``{"V": int, "bonds": [[u, v], ...]}`` in canonical
-bond order with an optional ``"lengths": [...]``; only this module writes
-and reads it.
+bond order with an optional ``"lengths": [...]``; ``V`` and the vertex ids
+are JSON integers (a float or boolean is refused, never truncated).  Only
+this module writes and reads it.
 """
 
 from __future__ import annotations
@@ -238,17 +239,26 @@ def save_graph(graph: DirectedGraph, path: str | Path, lengths=None) -> None:
 def read_graph(path: str | Path) -> tuple[DirectedGraph, list | None]:
     """Parse a graph JSON file as written: the graph and the stored
     ``"lengths"`` entry (None without one).  Bond order, validity and the
-    lengths are not checked (see :func:`load_graph`), but a ``V`` above the
-    bond count is rejected before anything is built per vertex."""
+    lengths are not checked (see :func:`load_graph`), but a ``V`` or vertex
+    id that is not a JSON integer, or a ``V`` above the bond count, is
+    rejected before anything is built per vertex."""
     data = json.loads(Path(path).read_text())
     try:
-        vertex_count = int(data["V"])
-        bonds = tuple((int(u), int(v)) for u, v in data["bonds"])
-    except (KeyError, TypeError) as exc:
+        vertex_count = _json_int(data["V"])
+        bonds = tuple((_json_int(u), _json_int(v)) for u, v in data["bonds"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph file {path}: {exc}") from exc
     if vertex_count > len(bonds):  # B = 2V on a valid graph
         raise ValueError(f"malformed graph file {path}: V={vertex_count} exceeds B={len(bonds)}")
     return DirectedGraph(vertex_count, bonds), data.get("lengths")
+
+
+def _json_int(value) -> int:
+    # bool is a subclass of int, and int() would truncate 0.7 to a valid
+    # vertex 0 or overflow on 1e400 (parsed as inf)
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
 
 
 def load_graph(path: str | Path) -> tuple[DirectedGraph, list | None]:

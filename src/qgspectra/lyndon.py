@@ -14,7 +14,7 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Word = tuple[int, ...]
 

@@ -18,7 +18,6 @@ from qgspectra.classify import (
     pseudo_orbit_counts,
     pseudo_orbit_record,
     variance_from_classes,
-    visit_profile,
     write_orbit_dump,
 )
 from qgspectra.graphs import DirectedGraph
@@ -56,28 +55,12 @@ V6_N4_PHAT1 = {
 }
 
 
-def test_visit_profile_with_encounter(binary6):
-    po = make_pseudo_orbit(binary6, [(0,), (1, 3, 6)])
-    profile = visit_profile(binary6, po)
-    assert profile.visit_counts == (2, 1, 0, 1, 0, 0)
-    assert profile.repeated_bonds == ()
-    assert profile.doubly_visited == (0,)
-    assert profile.higher_visits == ()
-
-
 def test_higher_visits_on_three_in_graph():
     # reachable only off the 2-in/2-out graphs: three loops at one vertex
     graph = DirectedGraph(1, ((0, 0),) * 3)
     po = make_pseudo_orbit(graph, [(0,), (1,), (2,)])
-    assert visit_profile(graph, po).higher_visits == (0,)
     tag = classify_pseudo_orbit(graph, po)
     assert (tag.kind, tag.reason) == ("excluded", "vertex passed three or more times")
-
-
-def test_visit_profile_with_repeated_bond(binary6):
-    po = make_pseudo_orbit(binary6, [(0,), (0, 1, 3, 6)])
-    profile = visit_profile(binary6, po)
-    assert profile.repeated_bonds == ((0, 2),)
 
 
 def test_classification_kinds(binary6):
@@ -253,8 +236,8 @@ def test_c_gamma_rejects_partner_with_other_multiplicities():
     # bonds {1, 1, 2} against {1, 2, 2}: one bond set, one length, but two
     # bond multisets, so a set or length comparison would let it through
     graph = DirectedGraph(1, ((0, 0),) * 3)
-    a = PseudoOrbit(orbits=((1,), (1, 2)), total_bonds=3, orbit_count=2, amp_sign=1)
-    b = PseudoOrbit(orbits=((1, 2), (2,)), total_bonds=3, orbit_count=2, amp_sign=1)
+    a = PseudoOrbit(orbits=((1,), (1, 2)), amp_sign=1)
+    b = PseudoOrbit(orbits=((1, 2), (2,)), amp_sign=1)
     with pytest.raises(ValueError, match="different bond multiset"):
         q.c_gamma(graph, a, [a, b])
     with pytest.raises(ValueError, match="different bond multiset"):
@@ -269,7 +252,7 @@ def test_c_gamma_of_a_lone_pseudo_orbit(binary6):
 
 def test_c_gamma_over_every_general_pseudo_orbit(debruijn8):
     """Pinned partner sums at n = 8 on B = 16: 0 for each repeated-bond
-    pseudo orbit, 2^(N-n) for the rest, with N read off the visit profile."""
+    pseudo orbit, 2^(N-n) for the rest, with N from the classification."""
     n = 8
     pos = enumerate_pseudo_orbits(debruijn8, n, mode="general")
     groups = group_by_bond_multiset(pos)
@@ -280,12 +263,12 @@ def test_c_gamma_over_every_general_pseudo_orbit(debruijn8):
     for group in groups.values():
         for po in group:
             c = q.c_gamma(debruijn8, po, group)
-            profile = visit_profile(debruijn8, po)
-            if profile.repeated_bonds:
+            tag = classify_pseudo_orbit(debruijn8, po)
+            if any(m > 1 for _bond, m in po.bond_multiset()):
                 repeated += 1
-                assert c == 0
+                assert (c, tag.kind) == (0, "excluded")
             else:
-                assert c == Fraction(2 ** len(profile.doubly_visited), 2**n)
+                assert c == Fraction(2**tag.encounters, 2**n)
             total += c
     assert repeated == 72
     assert total == exact_variance(debruijn8, n) == Fraction(9, 16)

@@ -66,6 +66,19 @@ def test_validate_fails_on_disconnected(tmp_path):
     assert any("strongly connected" in p for p in report["problems"])
 
 
+@pytest.mark.parametrize("command, text", [
+    (["graph", "validate"], '{"V": 1, "bonds": [[0.7, 0], [0, 0.2]]}'),
+    (["variance", "exact"], '{"V": 1e400, "bonds": []}'),
+])
+def test_graph_file_with_non_integer_vertex_exits_config(tmp_path, capsys, command, text):
+    path = tmp_path / "floats.json"
+    path.write_text(text)
+    assert main([*command, "--graph-file", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "malformed graph file" in captured.err
+    assert captured.out == ""
+
+
 def test_orbits_enumerate_general_dump(tmp_path):
     out = tmp_path / "orbits.jsonl"
     assert main(["orbits", "enumerate", "--p", "3", "--r", "1", "--n", "5",

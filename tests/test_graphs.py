@@ -231,6 +231,21 @@ def test_load_rejects_malformed_file(tmp_path):
     for read in (q.read_graph, q.load_graph):
         with pytest.raises(ValueError, match="malformed graph file .*V=9 exceeds B=8"):
             read(path)
+    # V and vertex ids are JSON integers: a float is neither truncated (0.7
+    # would pass as vertex 0) nor converted (1e400 parses as inf), and a
+    # boolean is not a number of vertices
+    for text in (
+        '{"V": 1e400, "bonds": []}',
+        '{"V": 1, "bonds": [[1e400, 1]]}',
+        '{"V": 1, "bonds": [[0.7, 0], [0, 0.2]]}',
+        '{"V": 1.0, "bonds": [[0, 0], [0, 0]]}',
+        '{"V": true, "bonds": [[0, 0], [0, 0]]}',
+        '{"V": 1, "bonds": [[0, false], [0, 0]]}',
+    ):
+        path.write_text(text)
+        for read in (q.read_graph, q.load_graph):
+            with pytest.raises(ValueError, match="malformed graph file .* is not an integer"):
+                read(path)
 
 
 def test_read_graph_returns_the_file_as_written(tmp_path):

@@ -1,5 +1,6 @@
 """Periodic orbits, pseudo orbits, balanced subsets, and cycle covers."""
 
+import dataclasses
 import itertools
 from collections import Counter
 
@@ -73,6 +74,17 @@ def test_make_pseudo_orbit_canonicalizes(debruijn8):
     assert po.amplitude == pytest.approx(po.amp_sign * 2 ** (-1.5))
     assert po.weight_sign == (-1) ** 2 * po.amp_sign
     assert po.bond_multiset() == ((5, 1), (10, 1), (15, 1))
+    assert po.bonds == [5, 10, 15]
+    # n and m are derived from the member orbits, never stored beside them
+    assert [f.name for f in dataclasses.fields(po)] == ["orbits", "amp_sign"]
+
+
+def test_bonds_keep_multiplicity(debruijn8):
+    po = make_pseudo_orbit(debruijn8, [(0, 1, 2, 4, 8), (0,)])
+    assert po.orbits == ((0,), (0, 1, 2, 4, 8))
+    assert po.bonds == [0, 0, 1, 2, 4, 8]
+    assert (po.total_bonds, po.orbit_count) == (6, 2)
+    assert po.bond_multiset() == ((0, 2), (1, 1), (2, 1), (4, 1), (8, 1))
 
 
 def test_make_pseudo_orbit_rejects_duplicates(debruijn8):
@@ -172,10 +184,17 @@ def test_general_mode_counts(debruijn8, binary6):
             assert all(po.total_bonds == n for po in pos)
 
 
-def test_general_contains_bond_distinct(binary6):
-    distinct = {po.orbits for po in enumerate_pseudo_orbits(binary6, 6)}
-    general = {po.orbits for po in enumerate_pseudo_orbits(binary6, 6, mode="general")}
-    assert distinct < general
+def test_general_contains_bond_distinct(binary6, debruijn8):
+    """The cycle covers, general-mode combination and make_pseudo_orbit
+    build the same pseudo orbits, amplitude signs included."""
+    for graph in (binary6, debruijn8):
+        for n in range(7):
+            distinct = enumerate_pseudo_orbits(graph, n)
+            general = enumerate_pseudo_orbits(graph, n, mode="general")
+            assert distinct == [po for po in general if len(set(po.bonds)) == n]
+            for po in distinct:
+                assert make_pseudo_orbit(graph, po.orbits) == po
+        assert set(distinct) < set(general)
 
 
 def test_enumerate_rejects_bad_args(binary6):
@@ -192,7 +211,7 @@ def test_enumerate_cap(binary6, mode):
         enumerate_pseudo_orbits(binary6, 6, mode=mode, cap=10)
 
 
-def test_group_by_bond_multiset(binary6):
+def test_group_by_bond_multiset(binary6, debruijn8):
     pos = enumerate_pseudo_orbits(binary6, 4, mode="general")
     groups = group_by_bond_multiset(pos)
     assert sum(len(g) for g in groups.values()) == len(pos)
@@ -202,6 +221,16 @@ def test_group_by_bond_multiset(binary6):
         ((0,), (1, 3, 6)),
         ((0, 1, 3, 6),),
     }
+    # every public key, repeated bonds included, against a Counter per pseudo orbit
+    pos = enumerate_pseudo_orbits(debruijn8, 8, mode="general")
+    reference: dict = {}
+    for po in pos:
+        key = tuple(sorted(Counter(b for orbit in po.orbits for b in orbit).items()))
+        reference.setdefault(key, []).append(po)
+    groups = group_by_bond_multiset(pos)
+    assert len(groups) == 62
+    assert any(m > 1 for key in groups for _bond, m in key)
+    assert groups == reference
 
 
 def test_default_cap_value():
