@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import IO, Iterable
 
 from .graphs import DirectedGraph
-from .orbits import PseudoOrbit
+from .orbits import PseudoOrbit, _elimination_order
 
 
 @dataclass(frozen=True)
@@ -154,38 +154,13 @@ def pseudo_orbit_counts(graph: DirectedGraph, n_max: int) -> list[int]:
     return totals
 
 
-def _elimination_order(graph: DirectedGraph) -> list[int]:
-    """Greedy min-frontier vertex order, ties broken by vertex id.
-
-    Processing a vertex closes its bonds to processed vertices and opens
-    its bonds to unprocessed ones; each step picks the vertex that leaves
-    the fewest open bonds.
-    """
-    neighbours: list[list[int]] = [[] for _ in range(graph.vertex_count)]
-    for u, w in graph.bonds:
-        if u != w:
-            neighbours[u].append(w)
-            neighbours[w].append(u)
-    done = [False] * graph.vertex_count
-    order: list[int] = []
-    for _ in range(graph.vertex_count):
-        _, v = min(
-            (sum(-1 if done[w] else 1 for w in neighbours[v]), v)
-            for v in range(graph.vertex_count)
-            if not done[v]
-        )
-        done[v] = True
-        order.append(v)
-    return order
-
-
 def _balanced_subset_counts(graph: DirectedGraph, n_max: int) -> list[list[int]]:
     """Number of balanced n-bond subsets with N doubly used vertices,
     indexed [n][N] for n = 0..n_max and N = 0..n//2.
 
     Frontier transfer matrix: vertices are eliminated in
-    :func:`_elimination_order`; a bond is open while exactly one of its
-    endpoints is processed.  The state is the set of selected open bonds
+    :func:`orbits._elimination_order`; a bond is open while exactly one of
+    its endpoints is processed.  The state is the set of selected open bonds
     (a bitmask over bond ids) and carries a generating polynomial in x
     (selected bonds) and y (doubly used vertices), truncated at x^n_max.  A
     vertex step decides the vertex's remaining bonds, keeps the choices

@@ -49,7 +49,9 @@ EXIT_CAP = 5
 
 ORACLE_TOL = 1e-12
 DEFAULT_MC_TOL = 5e-3
-SUBSET_LIMIT = 2_000_000  # the most minors the oracle may evaluate at one n
+# the largest C(B, n) at which the oracle runs: it sums balanced minors only, but
+# the gate counts every subset, so exit codes and n/a cells depend on B and n alone
+SUBSET_LIMIT = 2_000_000
 
 
 def _fmt(value) -> str:
@@ -216,8 +218,8 @@ def cmd_variance_oracle(args) -> int:
     for n in ns:
         if not _oracle_feasible(graph.num_bonds, n):
             raise ValueError(
-                f"the oracle at n={n} needs {math.comb(graph.num_bonds, n)} minors, "
-                f"above the limit of {SUBSET_LIMIT}"
+                f"the oracle at n={n} is gated on C(B, n) = {math.comb(graph.num_bonds, n)} "
+                f"subsets, above the limit of {SUBSET_LIMIT}"
             )
     rows = [[_fmt(n), _fmt(minor_sum_variance(S, n))] for n in ns]
     _emit(_csv_text(["n", "oracle"], rows), args.out)
@@ -229,8 +231,8 @@ def _cross_check(args, graph: DirectedGraph, lengths):
 
     Returns ``(rows, timings)`` with one ``(n, census, exact, oracle,
     estimate)`` row per n.  The census is None above B/2, where the exact
-    value comes from the mirror n -> B - n; the oracle is None where it
-    would need more than ``SUBSET_LIMIT`` minors.
+    value comes from the mirror n -> B - n; the oracle is None where
+    C(B, n) exceeds ``SUBSET_LIMIT``.
     """
     B = graph.num_bonds
     ns = _index_range(args, B)

@@ -16,6 +16,7 @@ this module writes and reads it.
 from __future__ import annotations
 
 import json
+import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,12 +24,26 @@ from pathlib import Path
 from typing import Iterable
 
 
+def _integer(value) -> int:
+    # bool is a subclass of int, and int() would truncate 0.7 to a valid
+    # vertex 0 or overflow on 1e400 (parsed as inf); operator.index takes
+    # Python and numpy integers only
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{value!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class DirectedGraph:
     """Directed multigraph with a fixed bond ordering.
 
-    The constructor only guarantees well-formed vertex ids.  Regularity,
-    bond count, and strong connectivity are checked by
+    The constructor only guarantees well-formed vertex ids: ``vertex_count``
+    and every id must be integers (Python or numpy, not bool; a float is
+    refused, never truncated), and every id must lie in ``0..V-1``.
+    Regularity, bond count, and strong connectivity are checked by
     :func:`validate_graph`, so malformed graphs can still be built and
     reported on rather than rejected at construction time.
     """
@@ -37,14 +52,16 @@ class DirectedGraph:
     bonds: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 1:
+        vertex_count = _integer(self.vertex_count)
+        if vertex_count < 1:
             raise ValueError("vertex_count must be positive")
-        bonds = tuple((int(u), int(v)) for u, v in self.bonds)
+        bonds = tuple((_integer(u), _integer(v)) for u, v in self.bonds)
         for u, v in bonds:
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(
-                    f"bond ({u}, {v}) references a vertex outside 0..{self.vertex_count - 1}"
+                    f"bond ({u}, {v}) references a vertex outside 0..{vertex_count - 1}"
                 )
+        object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "bonds", bonds)
 
     @property
@@ -244,21 +261,13 @@ def read_graph(path: str | Path) -> tuple[DirectedGraph, list | None]:
     rejected before anything is built per vertex."""
     data = json.loads(Path(path).read_text())
     try:
-        vertex_count = _json_int(data["V"])
-        bonds = tuple((_json_int(u), _json_int(v)) for u, v in data["bonds"])
+        vertex_count = _integer(data["V"])
+        bonds = tuple((_integer(u), _integer(v)) for u, v in data["bonds"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph file {path}: {exc}") from exc
     if vertex_count > len(bonds):  # B = 2V on a valid graph
         raise ValueError(f"malformed graph file {path}: V={vertex_count} exceeds B={len(bonds)}")
     return DirectedGraph(vertex_count, bonds), data.get("lengths")
-
-
-def _json_int(value) -> int:
-    # bool is a subclass of int, and int() would truncate 0.7 to a valid
-    # vertex 0 or overflow on 1e400 (parsed as inf)
-    if type(value) is not int:
-        raise TypeError(f"{value!r} is not an integer")
-    return value
 
 
 def load_graph(path: str | Path) -> tuple[DirectedGraph, list | None]:

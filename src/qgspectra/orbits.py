@@ -139,26 +139,114 @@ def make_pseudo_orbit(
     return _signed(graph, canon)
 
 
+def _elimination_order(graph: DirectedGraph) -> list[int]:
+    """Greedy min-frontier vertex order, ties broken by vertex id.
+
+    Processing a vertex closes its bonds to processed vertices and opens
+    its bonds to unprocessed ones; each step picks the vertex that leaves
+    the fewest open bonds.  The balanced-subset search and the census DP
+    (:mod:`classify`) both process vertices in this order.
+    """
+    neighbours: list[list[int]] = [[] for _ in range(graph.vertex_count)]
+    for u, w in graph.bonds:
+        if u != w:
+            neighbours[u].append(w)
+            neighbours[w].append(u)
+    done = [False] * graph.vertex_count
+    order: list[int] = []
+    for _ in range(graph.vertex_count):
+        _, v = min(
+            (sum(-1 if done[w] else 1 for w in neighbours[v]), v)
+            for v in range(graph.vertex_count)
+            if not done[v]
+        )
+        done[v] = True
+        order.append(v)
+    return order
+
+
+def _in_out(
+    graph: DirectedGraph, bonds: Iterable[int]
+) -> tuple[dict[int, int], dict[int, int]]:
+    """How many of ``bonds`` enter and leave each vertex they touch.
+
+    The bonds are balanced at every vertex exactly when the two dicts are
+    equal.  The subset search, :func:`covers_of_subset` and
+    ``spectral.subset_contribution`` all count balance here.
+    """
+    ins: dict[int, int] = {}
+    outs: dict[int, int] = {}
+    for b in bonds:
+        u, w = graph.bonds[b]
+        outs[u] = outs.get(u, 0) + 1
+        ins[w] = ins.get(w, 0) + 1
+    return ins, outs
+
+
+def _balanced_subsets(graph: DirectedGraph, n: int) -> Iterator[tuple[int, ...]]:
+    """Every n-bond subset balanced at every vertex, once, as an ascending
+    tuple, in search order.
+
+    Depth-first over the vertices in :func:`_elimination_order`.  Visiting
+    a vertex decides its bonds that are still undecided (those to later
+    vertices and its self-loops).  A branch survives only if the vertex
+    then has as many selected bonds in as out, at most n bonds are
+    selected, and the undecided bonds can still make up n.  A branch dies
+    at the first vertex that fails, so the work follows the number of
+    balanced subsets, not C(B, n).
+    """
+    done = [False] * graph.vertex_count
+    undecided = graph.num_bonds
+    steps = []
+    for v in _elimination_order(graph):
+        incident = set(graph.in_bonds[v]) | set(graph.out_bonds[v])
+        # the far end of bond (u, w) at v is u + w - v; v itself for a loop
+        closing = [b for b in incident if done[sum(graph.bonds[b]) - v]]
+        fresh = sorted(incident.difference(closing))
+        closing_in = sum(1 << b for b in closing if graph.terminus(b) == v)
+        closing_out = sum(1 << b for b in closing if graph.origin(b) == v)
+        # choices for the fresh bonds, keyed by (selected in - selected out)
+        choices: dict[int, list[tuple[int, int]]] = {}
+        for picks in itertools.product((False, True), repeat=len(fresh)):
+            chosen = [b for b, pick in zip(fresh, picks) if pick]
+            ins, outs = _in_out(graph, chosen)
+            choices.setdefault(ins.get(v, 0) - outs.get(v, 0), []).append(
+                (len(chosen), sum(1 << b for b in chosen))
+            )
+        done[v] = True
+        undecided -= len(fresh)
+        steps.append((closing_in, closing_out, choices, undecided))
+    stack = [(0, 0, 0)]  # (step, selected count, selected bonds as a bitmask)
+    while stack:
+        i, count, mask = stack.pop()
+        if i == len(steps):
+            subset = []
+            while mask:
+                low = mask & -mask
+                subset.append(low.bit_length() - 1)
+                mask ^= low
+            yield tuple(subset)
+            continue
+        closing_in, closing_out, choices, undecided = steps[i]
+        need = (mask & closing_out).bit_count() - (mask & closing_in).bit_count()
+        for k, chosen in choices.get(need, ()):
+            if count + k <= n <= count + k + undecided:
+                stack.append((i + 1, count + k, mask | chosen))
+
+
 def admissible_subsets(graph: DirectedGraph, n: int) -> Iterator[tuple[int, ...]]:
-    """Yield the n-bond subsets balanced at every vertex (in = out).
+    """Yield the n-bond subsets balanced at every vertex (in = out), in
+    ascending lexicographic order.
 
     Exactly these subsets index the nonzero principal minors of the
-    scattering matrix; all others have a zero row or an unbalanced vertex.
+    scattering matrix; all others have an unbalanced vertex.  They come
+    from one depth-first search (see :func:`_balanced_subsets`) whose cost
+    follows their number, and are sorted before the first is yielded.
     """
     B = graph.num_bonds
     if not 0 <= n <= B:
         raise ValueError(f"n must lie in 0..{B}")
-    origins = [graph.origin(b) for b in range(B)]
-    termini = [graph.terminus(b) for b in range(B)]
-    V = graph.vertex_count
-    for combo in itertools.combinations(range(B), n):
-        balance = [0] * V
-        for b in combo:
-            balance[origins[b]] += 1
-            balance[termini[b]] -= 1
-        if any(balance):
-            continue
-        yield combo
+    yield from sorted(_balanced_subsets(graph, n))
 
 
 @dataclass(frozen=True)
@@ -183,17 +271,14 @@ def covers_of_subset(graph: DirectedGraph, subset: Iterable[int]) -> CoverFamily
     bond-distinct primitive pseudo orbit per choice.
     """
     subset_t = tuple(sorted({int(b) for b in subset}))
-    ins: dict[int, list[int]] = {}
-    outs: dict[int, list[int]] = {}
-    for b in subset_t:
-        outs.setdefault(graph.origin(b), []).append(b)
-        ins.setdefault(graph.terminus(b), []).append(b)
-    if set(ins) != set(outs) or any(len(ins[v]) != len(outs[v]) for v in ins):
+    into, out_of = _in_out(graph, subset_t)
+    if into != out_of:
         raise ValueError("subset is not balanced at every vertex")
-    for v in ins:
-        ins[v].sort()
-        outs[v].sort()
-    doubly = tuple(sorted(v for v in ins if len(ins[v]) == 2))
+    selected = set(subset_t)
+    # port slots are ascending, so each list is too
+    ins = {v: [b for b in graph.in_bonds[v] if b in selected] for v in into}
+    outs = {v: [b for b in graph.out_bonds[v] if b in selected] for v in into}
+    doubly = tuple(sorted(v for v, c in into.items() if c == 2))
     covers = []
     for swaps in itertools.product((False, True), repeat=len(doubly)):
         successor: dict[int, int] = {}
@@ -274,8 +359,10 @@ def enumerate_pseudo_orbits(
 ) -> list[PseudoOrbit]:
     """Primitive pseudo orbits with n bonds in total, sorted canonically.
 
-    ``bond_distinct`` unions the cycle covers of all balanced n-subsets;
-    it walks C(B, n) subsets, so that count must not exceed ``cap``.
+    ``bond_distinct`` unions the cycle covers of all balanced n-subsets,
+    found by a search whose cost follows their number.  C(B, n) must
+    still not exceed ``cap``: the gate is kept as it was so that the exit
+    codes of ``orbits enumerate`` stay stable.
     ``general`` combines arbitrary distinct primitive orbits of total
     length n and is a strict superset once n admits repeated bonds; its
     orbit search takes at most ``cap`` steps.

@@ -4,12 +4,14 @@ Three quantities live here: the coefficient vector of det(U - zeta I) for
 one evolution matrix, the Monte Carlo k-average of |a_n|^2, and the
 principal-minor oracle sum_{|I|=n} |det S_I|^2 that the k-average
 converges to when the bond lengths are incommensurate.  The first two take
-their eigenvalues from one route, the Hermitian Cayley transform.
+their eigenvalues from one route, the Hermitian Cayley transform.  The
+oracle evaluates only the minors of subsets balanced at every vertex, the
+others being structurally zero, so its cost follows the number of
+balanced subsets rather than binomial(B, n).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -17,6 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .orbits import _balanced_subsets, _in_out
 from .quantize import BondLengths, BondScattering
 
 DEFAULT_K_MAX = 1e5
@@ -293,11 +296,7 @@ def subset_contribution(
     for b in subset_t:
         if not 0 <= b < S.num_bonds:
             raise ValueError(f"unknown bond id {b}")
-    ins: dict[int, int] = {}
-    outs: dict[int, int] = {}
-    for b in subset_t:
-        outs[graph.origin(b)] = outs.get(graph.origin(b), 0) + 1
-        ins[graph.terminus(b)] = ins.get(graph.terminus(b), 0) + 1
+    ins, outs = _in_out(graph, subset_t)
     if ins != outs:
         return 0.0, None
     N = sum(1 for c in ins.values() if c == 2)
@@ -309,11 +308,13 @@ def subset_contribution(
 
 
 def minor_sum_variance(S: BondScattering, n: int) -> float:
-    """Oracle: sum_{|I|=n} |det S_I|^2 over all n-bond principal minors.
+    """Oracle: sum_{|I|=n} |det S_I|^2 over the n-bond principal minors.
 
-    Exhaustive over binomial(B, n) subsets, determinants evaluated in
-    blocks of about 2^20 matrix entries; this is the incommensurate-lengths
-    limit of the k-average.
+    A subset with more selected bonds into some vertex than out of it has
+    linearly dependent columns there, so only the subsets balanced at every
+    vertex are summed; the balanced-subset search of :mod:`orbits` lists
+    them.  Their determinants are evaluated in blocks of about 2^20 matrix
+    entries.  This is the incommensurate-lengths limit of the k-average.
     """
     B = S.num_bonds
     if not 0 <= n <= B:
@@ -322,12 +323,19 @@ def minor_sum_variance(S: BondScattering, n: int) -> float:
         return 1.0
     chunk = max(1, _STACK_ELEMENTS // (n * n))
     total = 0.0
-    combos = itertools.combinations(range(B), n)
-    while True:
-        block = list(itertools.islice(combos, chunk))
-        if not block:
-            break
-        idx = np.array(block)
-        minors = S.matrix[idx[:, :, np.newaxis], idx[:, np.newaxis, :]]
-        total += float(np.sum(np.abs(np.linalg.det(minors)) ** 2))
-    return total
+    block: list[tuple[int, ...]] = []
+    for subset in _balanced_subsets(S.graph, n):
+        block.append(subset)
+        if len(block) == chunk:
+            total += _minor_power(S.matrix, block)
+            block = []
+    return total + _minor_power(S.matrix, block)
+
+
+def _minor_power(matrix: np.ndarray, subsets: list[tuple[int, ...]]) -> float:
+    """sum |det S_I|^2 over equal-size subsets I, in one batched call."""
+    if not subsets:
+        return 0.0
+    idx = np.array(subsets)
+    minors = matrix[idx[:, :, np.newaxis], idx[:, np.newaxis, :]]
+    return float(np.sum(np.abs(np.linalg.det(minors)) ** 2))

@@ -12,6 +12,12 @@ def debruijn8():
 
 
 @pytest.fixture(scope="session")
+def debruijn16():
+    """Binary de Bruijn graph on 16 vertices (p=1, r=4), B=32."""
+    return q.build_binary_graph(1, 4)
+
+
+@pytest.fixture(scope="session")
 def binary6():
     """Binary graph on 6 vertices (p=3, r=1), B=12."""
     return q.build_binary_graph(3, 1)
@@ -70,3 +76,11 @@ def family_graph(request):
 @pytest.fixture(scope="session")
 def random_graphs():
     return [seeded_four_regular(s) for s in RANDOM_GRAPH_SEEDS]
+
+
+@pytest.fixture(scope="session")
+def small_graphs(binary6, debruijn8):
+    """binary6, debruijn8 and two seeded random multigraphs with B=16, each
+    with a self-loop and a pair of parallel bonds: small enough (B <= 16)
+    to check against a walk over every bond subset."""
+    return [binary6, debruijn8, seeded_four_regular(5), seeded_four_regular(6)]

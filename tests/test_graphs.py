@@ -6,6 +6,7 @@ import sys
 from collections import Counter, deque
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -60,6 +61,24 @@ def test_directed_graph_rejects_unknown_vertex():
         DirectedGraph(2, ((0, 5),))
     with pytest.raises(ValueError):
         DirectedGraph(0, ())
+
+
+def test_directed_graph_rejects_non_integer_vertices():
+    # int() would truncate both 0.7 and 0.2 to vertex 0
+    with pytest.raises(TypeError, match="0.7 is not an integer"):
+        DirectedGraph(1, ((0.7, 0), (0, 0.2)))
+    # bool is a subclass of int, but not a number of vertices
+    with pytest.raises(TypeError, match="True is not an integer"):
+        DirectedGraph(True, ((0, 0), (0, 0)))
+    with pytest.raises(TypeError, match="is not an integer"):
+        DirectedGraph(1.0, ((0, 0), (0, 0)))
+    with pytest.raises(TypeError, match="False is not an integer"):
+        DirectedGraph(1, ((0, False), (0, 0)))
+    # numpy integers pass, stored as Python ints
+    g = DirectedGraph(np.int64(2), ((np.int32(0), np.int64(1)), (np.uint8(1), 0)))
+    assert (g.vertex_count, g.bonds) == (2, ((0, 1), (1, 0)))
+    assert type(g.vertex_count) is int
+    assert {type(x) for bond in g.bonds for x in bond} == {int}
 
 
 def test_ports_are_ascending(debruijn8):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qgspectra as q
+from qgspectra.classify import _balanced_subset_counts
 from qgspectra.orbits import (
     DEFAULT_CAP,
     EnumerationCapExceeded,
@@ -100,18 +101,29 @@ def test_amplitude_magnitude(debruijn8):
     assert abs(po.amplitude) == pytest.approx(0.5)
 
 
-def test_admissible_subsets_match_bruteforce(binary6):
-    B = binary6.num_bonds
-    for n in (0, 1, 2, 3):
-        expected = []
-        for combo in itertools.combinations(range(B), n):
-            balance = Counter()
-            for b in combo:
-                balance[binary6.origin(b)] += 1
-                balance[binary6.terminus(b)] -= 1
-            if all(v == 0 for v in balance.values()):
-                expected.append(combo)
-        assert list(admissible_subsets(binary6, n)) == expected
+def test_admissible_subsets_match_bruteforce(small_graphs):
+    """Same tuples in the same (ascending) order as a walk over every
+    subset, at every n."""
+    for graph in small_graphs:
+        B = graph.num_bonds
+        for n in range(B + 1):
+            expected = []
+            for combo in itertools.combinations(range(B), n):
+                balance = Counter()
+                for b in combo:
+                    balance[graph.origin(b)] += 1
+                    balance[graph.terminus(b)] -= 1
+                if all(v == 0 for v in balance.values()):
+                    expected.append(combo)
+            assert list(admissible_subsets(graph, n)) == expected, (graph, n)
+
+
+def test_admissible_subsets_match_census_counts(small_graphs, debruijn16):
+    """The search finds as many balanced subsets as the census DP counts."""
+    for graph, n_max in [(g, g.num_bonds) for g in small_graphs] + [(debruijn16, 16)]:
+        rows = _balanced_subset_counts(graph, n_max)
+        for n in range(n_max + 1):
+            assert len(list(admissible_subsets(graph, n))) == sum(rows[n]), (graph, n)
 
 
 def test_admissible_subsets_rejects_bad_n(binary6):

@@ -1,5 +1,6 @@
 """Coefficient extraction, Monte Carlo averaging, and the minor-sum oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -237,3 +238,32 @@ def test_minor_sum_spot_checks_debruijn8(debruijn8, scattering8):
         assert oracle == pytest.approx(float(q.exact_variance(debruijn8, n)), abs=1e-12)
     with pytest.raises(ValueError):
         minor_sum_variance(scattering8, 17)
+
+
+def _every_minor_sum(S, n):
+    """Reference: |det S_I|^2 summed over all C(B, n) subsets I, balanced
+    or not, in one batched call."""
+    B = S.num_bonds
+    idx = np.array(list(itertools.combinations(range(B), n)), dtype=np.intp)
+    idx = idx.reshape(math.comb(B, n), n)  # n = 0 holds one empty subset
+    minors = S.matrix[idx[:, :, np.newaxis], idx[:, np.newaxis, :]]
+    return float(np.sum(np.abs(np.linalg.det(minors)) ** 2))
+
+
+def test_skipped_minors_vanish(small_graphs):
+    """The oracle sums the balanced minors only; the unbalanced ones it
+    skips add nothing to the sum over every minor."""
+    for graph in small_graphs:
+        assert graph.num_bonds <= 16
+        S = q.build_bond_scattering(graph)
+        for n in range(9):
+            assert abs(minor_sum_variance(S, n) - _every_minor_sum(S, n)) <= 1e-13, (graph, n)
+
+
+def test_minor_sum_reaches_b32(debruijn16):
+    """Up to the midpoint of B=32, where C(32, 16) = 6e8 minors would be
+    out of reach for a walk over every subset."""
+    S = q.build_bond_scattering(debruijn16)
+    for n in range(17):
+        oracle = minor_sum_variance(S, n)
+        assert oracle == pytest.approx(float(q.exact_variance(debruijn16, n)), abs=1e-12)
