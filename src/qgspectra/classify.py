@@ -15,10 +15,11 @@ as a dyadic rational.
 The bond-distinct pseudo orbits of length n are the cycle covers of the
 balanced n-bond subsets, and a subset with N doubly used vertices has
 exactly 2^N of them.  The census therefore counts balanced subsets by
-(n, N) with a frontier transfer matrix over vertices, in exact integers,
-and builds no pseudo orbit.  The number |P^n| of all primitive pseudo
-orbits, repeated bonds included, follows in closed form from the counts
-of primitive periodic orbits; it gives the general-mode census and the
+(n, N) with a frontier transfer matrix over the vertex steps that the
+balanced-subset search also runs (``orbits._vertex_steps``), in exact
+integers, and builds no pseudo orbit.  The number |P^n| of all primitive
+pseudo orbits, repeated bonds included, is a power-series coefficient of
+det(I - x^2 A) / det(I - xA); it gives the general-mode census and the
 diagonal approximation.  One pass of either yields every n <= n_max; the
 per-n functions are views of one row.  Enumeration remains where the
 pseudo orbits themselves are the output: JSONL dumps and partner sums.
@@ -26,7 +27,6 @@ pseudo orbits themselves are the output: JSONL dumps and partner sums.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections import Counter
@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import IO, Iterable
 
 from .graphs import DirectedGraph
-from .orbits import PseudoOrbit, _elimination_order
+from .orbits import PseudoOrbit, _vertex_steps
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,8 @@ def class_census(
     N in one transfer-matrix run truncated at n_max; each carries 2^N
     pseudo orbits (its cycle covers).  ``general`` adds the pseudo orbits
     with a repeated bond as ``excluded`` = |P^n| - p0 - sum_N phat_N, with
-    |P^n| in closed form; above n = B every pseudo orbit repeats a bond.
+    |P^n| from :func:`pseudo_orbit_counts`; above n = B every pseudo orbit
+    repeats a bond.
     """
     if mode not in ("bond_distinct", "general"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -122,35 +123,35 @@ def class_counts(graph: DirectedGraph, n: int, mode: str = "bond_distinct") -> C
 def pseudo_orbit_counts(graph: DirectedGraph, n_max: int) -> list[int]:
     """|P^n| for n = 0..n_max: primitive pseudo orbits, repeated bonds allowed.
 
-    A closed bond walk of length ell is a closed vertex walk of length ell,
-    so tr(A^ell) counts them, with A the vertex adjacency (multiplicities
-    included).  Walk counts from every start vertex are packed into one
-    int per end vertex and pushed along the bonds.  The primitive orbit
-    counts pi_ell follow from tr(A^ell) = sum_{d | ell} d pi_d, and a
-    primitive pseudo orbit is a set of distinct primitive orbits, so
-    |P^n| = [x^n] prod_ell (1 + x^ell)^pi_ell.
+    A primitive pseudo orbit is a set of distinct primitive orbits, and
+    det(I - xA) = prod_ell (1 - x^ell)^pi_ell over the pi_ell primitive
+    orbits of length ell (Bowen-Lanford; A is the vertex adjacency, with
+    multiplicities), so |P^n| = [x^n] det(I - x^2 A) / det(I - xA).
+    Newton's identities give the determinant, of degree <= V, from the
+    closed-walk counts tr(A^k), pushed from every start vertex at once in
+    one packed int per end vertex.
     """
     if n_max < 0:
         raise ValueError("n must be nonnegative")
     V = graph.vertex_count
-    # a count of walks of length <= n_max is at most B^n_max < 2^width
-    width = graph.num_bonds.bit_length() * n_max + 1
+    degree = min(V, n_max)
+    # a count of walks of length <= degree is at most B^degree < 2^width
+    width = graph.num_bonds.bit_length() * degree + 1
     digit = (1 << width) - 1
     walks = [1 << (width * v) for v in range(V)]
-    primitive = [0] * (n_max + 1)
-    totals = [1] + [0] * n_max
-    for ell in range(1, n_max + 1):
+    det = [1]  # det(I - xA) = sum_k det[k] x^k
+    traces = [0]
+    for k in range(1, degree + 1):
         step = [0] * V
         for u, w in graph.bonds:
             step[w] += walks[u]
         walks = step
-        trace = sum((walks[v] >> (width * v)) & digit for v in range(V))
-        repeats = sum(d * primitive[d] for d in range(1, ell) if ell % d == 0)
-        primitive[ell] = (trace - repeats) // ell
-        # multiply by (1 + x^ell)^primitive[ell], truncated at x^n_max
-        binomials = [math.comb(primitive[ell], j) for j in range(n_max // ell + 1)]
-        for m in range(n_max, ell - 1, -1):
-            totals[m] += sum(binomials[j] * totals[m - j * ell] for j in range(1, m // ell + 1))
+        traces.append(sum((walks[v] >> (width * v)) & digit for v in range(V)))
+        det.append(-sum(traces[i] * det[k - i] for i in range(1, k + 1)) // k)
+    totals: list[int] = []
+    for n in range(n_max + 1):
+        numerator = det[n // 2] if n % 2 == 0 and n // 2 <= degree else 0
+        totals.append(numerator - sum(c * t for c, t in zip(det[1:], reversed(totals))))
     return totals
 
 
@@ -158,14 +159,12 @@ def _balanced_subset_counts(graph: DirectedGraph, n_max: int) -> list[list[int]]
     """Number of balanced n-bond subsets with N doubly used vertices,
     indexed [n][N] for n = 0..n_max and N = 0..n//2.
 
-    Frontier transfer matrix: vertices are eliminated in
-    :func:`orbits._elimination_order`; a bond is open while exactly one of
-    its endpoints is processed.  The state is the set of selected open bonds
-    (a bitmask over bond ids) and carries a generating polynomial in x
-    (selected bonds) and y (doubly used vertices), truncated at x^n_max.  A
-    vertex step decides the vertex's remaining bonds, keeps the choices
-    with selected in = selected out, and closes the bonds whose endpoints
-    are now both processed.  A self-loop is decided and closed at once.
+    Frontier transfer matrix over :func:`orbits._vertex_steps`: the state
+    is the set of selected open bonds (a bitmask) and carries a generating
+    polynomial in x (selected bonds) and y (doubly used vertices),
+    truncated at x^n_max.  A step keeps the choices that balance the
+    vertex and drops the bonds it closes.  Only this census needs at most
+    two bonds in and two out at each vertex.
     """
     B = graph.num_bonds
     if not 0 <= n_max <= B:
@@ -183,31 +182,15 @@ def _balanced_subset_counts(graph: DirectedGraph, n_max: int) -> list[list[int]]
     width = math.comb(B, B // 2).bit_length()
     span = n_max // 2 + 1
     keep = (1 << (width * span * (n_max + 1))) - 1
-    done = [False] * graph.vertex_count
     states: dict[int, int] = {0: 1}
-    for v in _elimination_order(graph):
-        incident = set(graph.in_bonds[v]) | set(graph.out_bonds[v])
-        # the far end of bond (u, w) at v is u + w - v; v itself for a loop
-        closing = [b for b in incident if done[sum(graph.bonds[b]) - v]]
-        fresh = sorted(incident.difference(closing))
-        closing_in = sum(1 << b for b in closing if graph.terminus(b) == v)
-        closing_out = sum(1 << b for b in closing if graph.origin(b) == v)
-        # choices for the fresh bonds, keyed by (selected in - selected out)
-        choices: dict[int, list[tuple[int, int, int]]] = {}
-        for picks in itertools.product((False, True), repeat=len(fresh)):
-            chosen = [b for b, pick in zip(fresh, picks) if pick]
-            d_in = sum(1 for b in chosen if graph.terminus(b) == v)
-            d_out = sum(1 for b in chosen if graph.origin(b) == v)
-            opened = sum(1 << b for b in chosen if graph.origin(b) != graph.terminus(b))
-            choices.setdefault(d_in - d_out, []).append((d_in, len(chosen), opened))
-        done[v] = True
+    for closing_in, closing_out, choices, _ in _vertex_steps(graph):
         unclosed = ~(closing_in | closing_out)
         step: dict[int, int] = {}
         for mask, poly in states.items():
             c_in = (mask & closing_in).bit_count()
             c_out = (mask & closing_out).bit_count()
             base = mask & unclosed
-            for d_in, k, opened in choices.get(c_out - c_in, ()):
+            for d_in, k, _, opened in choices.get(c_out - c_in, ()):
                 shift = width * (k * span + (c_in + d_in == 2))
                 term = (poly << shift) & keep
                 if term:
@@ -255,8 +238,8 @@ def c_gamma(
 
 def diagonal_approximation(graph: DirectedGraph, n: int) -> Fraction:
     """Equal-weight estimate 2^-n |P^n| over all primitive pseudo orbits of
-    length n (repeated bonds included), with |P^n| in closed form from the
-    primitive orbit counts; approaches 1/2 on large graphs."""
+    length n (repeated bonds included), with |P^n| from
+    :func:`pseudo_orbit_counts`; approaches 1/2 on large graphs."""
     return Fraction(pseudo_orbit_counts(graph, n)[n], 2**n)
 
 

@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -280,25 +281,26 @@ def cmd_variance_diagonal(args) -> int:
 
 
 def _reference_mismatches(path: str, header: list[str], rows: list[list[str]]) -> list[str]:
-    """Compare discrete columns (p0, phat*, exact_fraction) against a
-    reference CSV keyed by n; returns human-readable mismatch notes."""
+    """Compare discrete columns (p0, phatN, exact_fraction) against a
+    reference CSV keyed by n; returns human-readable mismatch notes.  A
+    phatN column the table lacks reads 0, or n/a above B/2."""
     ours = {row[header.index("n")]: dict(zip(header, row)) for row in rows}
     mismatches = []
     with open(path, newline="") as handle:
         for expected in csv.DictReader(handle):
             n = expected.get("n")
+            if None in expected:
+                raise ValueError(f"reference row n={n} has more fields than its header")
             if n is None or n not in ours:
                 mismatches.append(f"reference row n={n} has no computed counterpart")
                 continue
+            absent = "n/a" if ours[n]["p0"] == "n/a" else "0"
             for column, wanted in expected.items():
-                if column == "n" or wanted in (None, ""):
-                    continue
-                if not (column == "exact_fraction" or column == "p0" or column.startswith("phat")):
-                    continue
-                if column in ours[n] and ours[n][column] != wanted.strip():
-                    mismatches.append(
-                        f"n={n} {column}: computed {ours[n][column]}, reference {wanted.strip()}"
-                    )
+                if wanted and (column in ("p0", "exact_fraction")
+                               or re.fullmatch(r"phat[1-9][0-9]*", column)):
+                    got, wanted = ours[n].get(column, absent), wanted.strip()
+                    if got != wanted:
+                        mismatches.append(f"n={n} {column}: computed {got}, reference {wanted}")
     return mismatches
 
 

@@ -144,8 +144,7 @@ def _elimination_order(graph: DirectedGraph) -> list[int]:
 
     Processing a vertex closes its bonds to processed vertices and opens
     its bonds to unprocessed ones; each step picks the vertex that leaves
-    the fewest open bonds.  The balanced-subset search and the census DP
-    (:mod:`classify`) both process vertices in this order.
+    the fewest open bonds.  :func:`_vertex_steps` follows this order.
     """
     neighbours: list[list[int]] = [[] for _ in range(graph.vertex_count)]
     for u, w in graph.bonds:
@@ -171,7 +170,7 @@ def _in_out(
     """How many of ``bonds`` enter and leave each vertex they touch.
 
     The bonds are balanced at every vertex exactly when the two dicts are
-    equal.  The subset search, :func:`covers_of_subset` and
+    equal.  :func:`_vertex_steps`, :func:`covers_of_subset` and
     ``spectral.subset_contribution`` all count balance here.
     """
     ins: dict[int, int] = {}
@@ -183,17 +182,16 @@ def _in_out(
     return ins, outs
 
 
-def _balanced_subsets(graph: DirectedGraph, n: int) -> Iterator[tuple[int, ...]]:
-    """Every n-bond subset balanced at every vertex, once, as an ascending
-    tuple, in search order.
+def _vertex_steps(graph: DirectedGraph) -> list[tuple[int, int, dict, int]]:
+    """One step per vertex, in :func:`_elimination_order`, for the
+    balanced-subset search and the census DP (``classify``).
 
-    Depth-first over the vertices in :func:`_elimination_order`.  Visiting
-    a vertex decides its bonds that are still undecided (those to later
-    vertices and its self-loops).  A branch survives only if the vertex
-    then has as many selected bonds in as out, at most n bonds are
-    selected, and the undecided bonds can still make up n.  A branch dies
-    at the first vertex that fails, so the work follows the number of
-    balanced subsets, not C(B, n).
+    A step ``(closing_in, closing_out, choices, undecided)`` decides the
+    vertex's bonds to later vertices and its self-loops.  It holds the
+    bitmasks of its bonds in and out decided earlier; the choices, keyed
+    by selected in - out at the vertex, as (selected in, count, selected
+    bitmask, bitmask left open); and the bonds still undecided after it.
+    The vertex is balanced when the key equals closing out - closing in.
     """
     done = [False] * graph.vertex_count
     undecided = graph.num_bonds
@@ -205,17 +203,30 @@ def _balanced_subsets(graph: DirectedGraph, n: int) -> Iterator[tuple[int, ...]]
         fresh = sorted(incident.difference(closing))
         closing_in = sum(1 << b for b in closing if graph.terminus(b) == v)
         closing_out = sum(1 << b for b in closing if graph.origin(b) == v)
-        # choices for the fresh bonds, keyed by (selected in - selected out)
-        choices: dict[int, list[tuple[int, int]]] = {}
+        choices: dict[int, list[tuple[int, int, int, int]]] = {}
         for picks in itertools.product((False, True), repeat=len(fresh)):
             chosen = [b for b, pick in zip(fresh, picks) if pick]
             ins, outs = _in_out(graph, chosen)
-            choices.setdefault(ins.get(v, 0) - outs.get(v, 0), []).append(
-                (len(chosen), sum(1 << b for b in chosen))
+            d_in = ins.get(v, 0)
+            opened = sum(1 << b for b in chosen if graph.origin(b) != graph.terminus(b))
+            choices.setdefault(d_in - outs.get(v, 0), []).append(
+                (d_in, len(chosen), sum(1 << b for b in chosen), opened)
             )
         done[v] = True
         undecided -= len(fresh)
         steps.append((closing_in, closing_out, choices, undecided))
+    return steps
+
+
+def _balanced_subsets(graph: DirectedGraph, n: int) -> Iterator[tuple[int, ...]]:
+    """Every n-bond subset balanced at every vertex, once, as an ascending
+    tuple, in search order.
+
+    Depth-first over :func:`_vertex_steps`.  A branch dies at the first
+    vertex left unbalanced, or once n bonds are out of reach, so the work
+    follows the number of balanced subsets, not C(B, n).
+    """
+    steps = _vertex_steps(graph)
     stack = [(0, 0, 0)]  # (step, selected count, selected bonds as a bitmask)
     while stack:
         i, count, mask = stack.pop()
@@ -229,7 +240,7 @@ def _balanced_subsets(graph: DirectedGraph, n: int) -> Iterator[tuple[int, ...]]
             continue
         closing_in, closing_out, choices, undecided = steps[i]
         need = (mask & closing_out).bit_count() - (mask & closing_in).bit_count()
-        for k, chosen in choices.get(need, ()):
+        for _, k, chosen, _ in choices.get(need, ()):
             if count + k <= n <= count + k + undecided:
                 stack.append((i + 1, count + k, mask | chosen))
 

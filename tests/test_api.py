@@ -1,5 +1,5 @@
-"""The package namespace: every exported name resolves, none twice; and no
-module imports a name it never uses."""
+"""The package namespace: every exported name resolves, none twice; no
+module imports a name it never uses; and every private helper is used."""
 
 import ast
 from pathlib import Path
@@ -40,4 +40,34 @@ def test_no_unused_imports():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert modules
     unused = [entry for path in modules for entry in _unused_imports(path)]
+    assert unused == []
+
+
+def test_every_private_name_is_used():
+    """Each module-level private name is read somewhere in the package
+    outside its own definition, so no duplicate helper outlives its
+    callers."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    reads = [
+        (module, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__") and not any(
+                    other == name and (where != module or not node.lineno <= line <= node.end_lineno)
+                    for where, line, other in reads
+                ):
+                    unused.append(f"{module}:{node.lineno}: {name}")
     assert unused == []

@@ -1,8 +1,10 @@
 """Encounter classification, exact dyadic variance, and cancellation."""
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -306,6 +308,40 @@ def test_diagonal_approximation(debruijn8, binary6):
         Fraction(5, 8),
         Fraction(5, 8),
     ]
+
+
+def _pseudo_orbit_counts_by_primitive_orbits(graph, n_max):
+    """|P^n| = [x^n] prod_ell (1 + x^ell)^pi_ell, with the primitive orbit
+    counts pi_ell from tr(A^ell) = sum_{d | ell} d pi_d: the route that
+    the determinant series replaced, kept as its reference."""
+    A = np.zeros((graph.vertex_count,) * 2, dtype=object)
+    for u, w in graph.bonds:
+        A[u, w] += 1
+    power = np.identity(graph.vertex_count, dtype=object)
+    primitive = [0] * (n_max + 1)
+    totals = [1] + [0] * n_max
+    for ell in range(1, n_max + 1):
+        power = power.dot(A)
+        repeats = sum(d * primitive[d] for d in range(1, ell) if ell % d == 0)
+        primitive[ell] = (power.trace() - repeats) // ell
+        for m in range(n_max, ell - 1, -1):
+            totals[m] += sum(math.comb(primitive[ell], j) * totals[m - j * ell]
+                             for j in range(1, m // ell + 1))
+    return totals
+
+
+def test_pseudo_orbit_counts_match_primitive_orbit_route(random_graphs):
+    # n_max = 40 lies above V on every graph, so the series is truncated
+    # at degree V, and above B on all but p=5 r=2 (B = 40); shorter rows,
+    # cut below V, are prefixes
+    graphs = [q.build_binary_graph(p, r) for p, r in ((1, 4), (3, 2), (5, 2))] + random_graphs
+    assert sum(graph.num_bonds < 40 for graph in graphs) == len(graphs) - 1
+    for graph in graphs:
+        expected = _pseudo_orbit_counts_by_primitive_orbits(graph, 40)
+        assert pseudo_orbit_counts(graph, 40) == expected, graph
+        V = graph.vertex_count
+        for n_max in (0, 1, V - 1, V, V + 1):
+            assert pseudo_orbit_counts(graph, n_max) == expected[:n_max + 1], (graph, n_max)
 
 
 def test_pseudo_orbit_record(binary6):

@@ -317,6 +317,33 @@ def test_report_table_reference_comparison(tmp_path, capsys):
     assert capsys.readouterr().err == "mismatch: n=4 p0: computed 6, reference 10\n"
 
 
+def test_report_table_reference_checks_absent_phat_columns(tmp_path, capsys):
+    # B = 12 at p=3 r=1: rows n <= 2 reach no phat3 column, so a pinned
+    # phat3 reads 0 there; above B/2 (n = 7) every census cell reads n/a
+    ref = tmp_path / "ref.csv"
+    base = ["report", "table", "--p", "3", "--r", "1", "--samples", "500", "--mc-tol", "1",
+            "--out", str(tmp_path / "t.csv")]
+    ref.write_text("n,phat3\n2,7\n")
+    assert main(base + ["--n-max", "2", "--expect", str(ref)]) == EXIT_TABLE_MISMATCH
+    assert capsys.readouterr().err == "mismatch: n=2 phat3: computed 0, reference 7\n"
+    table = (tmp_path / "t.csv").read_bytes()
+    assert main(base + ["--n-max", "2"]) == EXIT_OK
+    assert (tmp_path / "t.csv").read_bytes() == table
+    ref.write_text("n,p0,phat3,phat9\n2,3,0,0\n7,n/a,n/a,n/a\n")
+    assert main(base + ["--n-max", "7", "--expect", str(ref)]) == EXIT_OK
+    ref.write_text("n,phat9\n7,0\n")
+    assert main(base + ["--n-max", "7", "--expect", str(ref)]) == EXIT_TABLE_MISMATCH
+    assert capsys.readouterr().err == "mismatch: n=7 phat9: computed n/a, reference 0\n"
+
+
+def test_report_table_reference_row_longer_than_header_exits_config(tmp_path, capsys):
+    ref = tmp_path / "ref.csv"
+    ref.write_text("n,p0\n2,3,9\n")
+    assert main(["report", "table", "--p", "3", "--r", "1", "--n-max", "2", "--samples",
+                 "500", "--out", str(tmp_path / "t.csv"), "--expect", str(ref)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: reference row n=2 has more fields than its header\n"
+
+
 @pytest.mark.parametrize("argv, size", [
     (["variance", "exact", "--p", "3", "--r", "2"], 12),
     (["variance", "exact", "--p", "3", "--r", "2", "--n", "20"], 4),
