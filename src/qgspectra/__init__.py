@@ -20,6 +20,7 @@ from .classify import (
     pseudo_orbit_counts,
     pseudo_orbit_record,
     variance_from_classes,
+    variance_row,
     write_orbit_dump,
 )
 from .graphs import (
@@ -123,5 +124,6 @@ __all__ = [
     "tuple_parity_census",
     "validate_graph",
     "variance_from_classes",
+    "variance_row",
     "write_orbit_dump",
 ]

@@ -14,15 +14,18 @@ as a dyadic rational.
 
 The bond-distinct pseudo orbits of length n are the cycle covers of the
 balanced n-bond subsets, and a subset with N doubly used vertices has
-exactly 2^N of them.  The census therefore counts balanced subsets by
-(n, N) with a frontier transfer matrix over the vertex steps that the
-balanced-subset search also runs (``orbits._vertex_steps``), in exact
-integers, and builds no pseudo orbit.  The number |P^n| of all primitive
-pseudo orbits, repeated bonds included, is a power-series coefficient of
-det(I - x^2 A) / det(I - xA); it gives the general-mode census and the
-diagonal approximation.  One pass of either yields every n <= n_max; the
-per-n functions are views of one row.  Enumeration remains where the
-pseudo orbits themselves are the output: JSONL dumps and partner sums.
+exactly 2^N of them.  One frontier transfer matrix over the vertex steps
+that the balanced-subset search also runs (``orbits._vertex_steps``,
+built once per graph) sums x^n y^N over the balanced subsets, in exact
+integers, and builds no pseudo orbit.  It runs as one of two passes: the
+census pass counts the subsets by (n, N); the variance pass fixes y = 4,
+so that the coefficient of x^n is 2^n var(n) and no N digit is carried.
+The number |P^n| of all primitive pseudo orbits, repeated bonds
+included, is a power-series coefficient of det(I - x^2 A) / det(I - xA);
+it gives the general-mode census and the diagonal approximation.  Each
+pass, and the series, yields every n <= n_max at once; the per-n
+functions are views of one row.  Enumeration remains where the pseudo
+orbits themselves are the output: JSONL dumps and partner sums.
 """
 
 from __future__ import annotations
@@ -159,12 +162,45 @@ def _balanced_subset_counts(graph: DirectedGraph, n_max: int) -> list[list[int]]
     """Number of balanced n-bond subsets with N doubly used vertices,
     indexed [n][N] for n = 0..n_max and N = 0..n//2.
 
+    The census pass of :func:`_frontier_pass`: the coefficient of x^n y^N
+    sits at bit width * (n * span + N).  Each coefficient counts subsets
+    of the decided bonds, so it stays below C(B, B//2) < 2^width.
+    """
+    width = math.comb(graph.num_bonds, graph.num_bonds // 2).bit_length()
+    span = n_max // 2 + 1
+    total = _frontier_pass(graph, n_max, width * span, width)
+    digit = (1 << width) - 1
+    return [[(total >> (width * (n * span + N))) & digit for N in range(n // 2 + 1)]
+            for n in range(n_max + 1)]
+
+
+def variance_row(graph: DirectedGraph, n_max: int) -> list[Fraction]:
+    """Exact variance of every coefficient n = 0..n_max, in one pass.
+
+    The variance pass of :func:`_frontier_pass`, with y fixed at 4: it sums
+    4^N over the balanced n-bond subsets, which is |P0| + sum_N 2^N |PhatN|
+    since each subset carries 2^N pseudo orbits, and keeps no N digit.
+    With N <= k/2, a coefficient of x^k is at most 2^k C(B, k), below
+    2^width.  No mirror is applied: n_max may reach B.
+    """
+    width = math.comb(graph.num_bonds, graph.num_bonds // 2).bit_length() + n_max + 1
+    total = _frontier_pass(graph, n_max, width, 2)
+    digit = (1 << width) - 1
+    return [Fraction((total >> (width * n)) & digit, 2**n) for n in range(n_max + 1)]
+
+
+def _frontier_pass(graph: DirectedGraph, n_max: int, x_shift: int, y_shift: int) -> int:
+    """Generating polynomial of the balanced bond subsets in x (selected
+    bonds) and y (doubly used vertices), truncated at x^n_max and packed
+    into one int: multiplying by x shifts it by ``x_shift`` bits, by y by
+    ``y_shift`` bits.  The caller sizes the shifts so that no coefficient
+    overflows into the next.
+
     Frontier transfer matrix over :func:`orbits._vertex_steps`: the state
-    is the set of selected open bonds (a bitmask) and carries a generating
-    polynomial in x (selected bonds) and y (doubly used vertices),
-    truncated at x^n_max.  A step keeps the choices that balance the
-    vertex and drops the bonds it closes.  Only this census needs at most
-    two bonds in and two out at each vertex.
+    is the set of selected open bonds (a bitmask) and carries the
+    polynomial of the subsets that reach it.  A step keeps the choices
+    that balance the vertex and drops the bonds it closes.  Only these
+    passes need at most two bonds in and two out at each vertex.
     """
     B = graph.num_bonds
     if not 0 <= n_max <= B:
@@ -176,12 +212,7 @@ def _balanced_subset_counts(graph: DirectedGraph, n_max: int) -> list[list[int]]
                 f"vertex {v} has {n_in} incoming / {n_out} outgoing bonds; "
                 "the class census needs at most 2 of each"
             )
-    # Polynomials are packed into one int: the coefficient of x^k y^N sits
-    # at bit width * (k * span + N).  Each coefficient counts subsets of
-    # the decided bonds, so it stays below C(B, B//2) < 2^width.
-    width = math.comb(B, B // 2).bit_length()
-    span = n_max // 2 + 1
-    keep = (1 << (width * span * (n_max + 1))) - 1
+    keep = (1 << (x_shift * (n_max + 1))) - 1
     states: dict[int, int] = {0: 1}
     for closing_in, closing_out, choices, _ in _vertex_steps(graph):
         unclosed = ~(closing_in | closing_out)
@@ -191,16 +222,13 @@ def _balanced_subset_counts(graph: DirectedGraph, n_max: int) -> list[list[int]]
             c_out = (mask & closing_out).bit_count()
             base = mask & unclosed
             for d_in, k, _, opened in choices.get(c_out - c_in, ()):
-                shift = width * (k * span + (c_in + d_in == 2))
+                shift = x_shift * k + y_shift * (c_in + d_in == 2)
                 term = (poly << shift) & keep
                 if term:
                     key = base | opened
                     step[key] = step.get(key, 0) + term
         states = step
-    total = states.get(0, 0)
-    digit = (1 << width) - 1
-    return [[(total >> (width * (n * span + N))) & digit for N in range(n // 2 + 1)]
-            for n in range(n_max + 1)]
+    return states.get(0, 0)
 
 
 def variance_from_classes(counts: ClassCounts) -> Fraction:
@@ -211,9 +239,10 @@ def variance_from_classes(counts: ClassCounts) -> Fraction:
 
 
 def exact_variance(graph: DirectedGraph, n: int) -> Fraction:
-    """Exact variance of coefficient n; indices above B/2 use the mirror
-    symmetry var(n) = var(B - n)."""
-    return variance_from_classes(class_counts(graph, min(n, graph.num_bonds - n)))
+    """Exact variance of coefficient n, the last entry of
+    :func:`variance_row`; indices above B/2 use the mirror symmetry
+    var(n) = var(B - n)."""
+    return variance_row(graph, min(n, graph.num_bonds - n))[-1]
 
 
 def c_gamma(

@@ -27,6 +27,7 @@ from .classify import (  # noqa: F401 (bench/worker.py patches cli.exact_varianc
     exact_variance,
     pseudo_orbit_counts,
     variance_from_classes,
+    variance_row,
     write_orbit_dump,
 )
 from .graphs import (
@@ -67,10 +68,23 @@ def graph_sha256(graph: DirectedGraph) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _resolve_graph(args) -> tuple[DirectedGraph, list | None]:
-    """The graph, with the lengths stored in --graph-file (None if none)."""
+def _stored_lengths(graph: DirectedGraph, stored) -> BondLengths | None:
+    """The ``"lengths"`` entry of a graph file as checked bond lengths
+    (None if the file stores none); raises ValueError if they are bad."""
+    if stored is None:
+        return None
+    lengths = BondLengths(values=stored)
+    if len(lengths) != graph.num_bonds:
+        raise ValueError("stored lengths do not match the bond count")
+    return lengths
+
+
+def _resolve_graph(args) -> tuple[DirectedGraph, BondLengths | None]:
+    """The graph, with the lengths stored in --graph-file (None if none),
+    checked at load so that every command refuses bad ones."""
     if args.graph_file:
-        return load_graph(args.graph_file)
+        graph, stored = load_graph(args.graph_file)
+        return graph, _stored_lengths(graph, stored)
     if args.p is not None and args.r is not None:
         return build_binary_graph(args.p, args.r), None
     raise ValueError("provide --graph-file, or both --p and --r")
@@ -79,13 +93,8 @@ def _resolve_graph(args) -> tuple[DirectedGraph, list | None]:
 def _resolve_graph_and_lengths(args):
     """The graph and its bond lengths: the ones stored in --graph-file,
     else drawn from --seed."""
-    graph, stored = _resolve_graph(args)
-    if stored is None:
-        return graph, sample_bond_lengths(graph, args.seed)
-    lengths = BondLengths(values=stored)
-    if len(lengths) != graph.num_bonds:
-        raise ValueError("stored lengths do not match the bond count")
-    return graph, lengths
+    graph, lengths = _resolve_graph(args)
+    return graph, lengths if lengths is not None else sample_bond_lengths(graph, args.seed)
 
 
 def _checked_index(n: int, B: int) -> int:
@@ -143,11 +152,15 @@ def cmd_graph_gen(args) -> int:
 
 
 def cmd_graph_validate(args) -> int:
-    graph, _ = read_graph(args.graph_file)
+    graph, stored = read_graph(args.graph_file)
     report = validate_graph(graph)
     problems = list(report.problems)
     if list(graph.bonds) != sorted(graph.bonds):
         problems.append("bond list is not in canonical (origin, terminus) order")
+    try:
+        _stored_lengths(graph, stored)
+    except ValueError as exc:
+        problems.append(str(exc))
     payload = {
         "four_regular": report.four_regular,
         "strongly_connected": report.strongly_connected,
@@ -201,8 +214,10 @@ def _exact_columns(graph: DirectedGraph, ns: list[int]):
 
 def cmd_variance_exact(args) -> int:
     graph, _ = _resolve_graph(args)
-    ns = _index_range(args, graph.num_bonds)
-    _, exact = _exact_columns(graph, ns)
+    B = graph.num_bonds
+    ns = _index_range(args, B)
+    row = variance_row(graph, max(min(n, B - n) for n in ns))
+    exact = [row[min(n, B - n)] for n in ns]
     rows = [[_fmt(n), _fmt(frac), _fmt(float(frac))] for n, frac in zip(ns, exact)]
     _emit(_csv_text(["n", "exact_fraction", "exact"], rows), args.out)
     return EXIT_OK

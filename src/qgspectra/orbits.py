@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -182,17 +183,34 @@ def _in_out(
     return ins, outs
 
 
-def _vertex_steps(graph: DirectedGraph) -> list[tuple[int, int, dict, int]]:
+# one step table per graph, dropped with the graph (see _vertex_steps)
+_STEP_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _vertex_steps(graph: DirectedGraph) -> tuple[tuple[int, int, dict, int], ...]:
     """One step per vertex, in :func:`_elimination_order`, for the
-    balanced-subset search and the census DP (``classify``).
+    balanced-subset search and the frontier passes (``classify``).
 
     A step ``(closing_in, closing_out, choices, undecided)`` decides the
     vertex's bonds to later vertices and its self-loops.  It holds the
     bitmasks of its bonds in and out decided earlier; the choices, keyed
-    by selected in - out at the vertex, as (selected in, count, selected
-    bitmask, bitmask left open); and the bonds still undecided after it.
-    The vertex is balanced when the key equals closing out - closing in.
+    by selected in - out at the vertex, as tuples of (selected in, count,
+    selected bitmask, bitmask left open); and the bonds still undecided
+    after it.  The vertex is balanced when the key equals closing out -
+    closing in.
+
+    The table is built once per graph and kept, weakly keyed on the
+    frozen graph (equal graphs share it), until that graph is collected.
+    Every caller shares it and only reads it.
     """
+    steps = _STEP_TABLES.get(graph)
+    if steps is None:
+        steps = _STEP_TABLES[graph] = _build_vertex_steps(graph)
+    return steps
+
+
+def _build_vertex_steps(graph: DirectedGraph) -> tuple[tuple[int, int, dict, int], ...]:
+    """The table :func:`_vertex_steps` keeps, built from scratch."""
     done = [False] * graph.vertex_count
     undecided = graph.num_bonds
     steps = []
@@ -214,8 +232,9 @@ def _vertex_steps(graph: DirectedGraph) -> list[tuple[int, int, dict, int]]:
             )
         done[v] = True
         undecided -= len(fresh)
-        steps.append((closing_in, closing_out, choices, undecided))
-    return steps
+        steps.append((closing_in, closing_out,
+                      {key: tuple(options) for key, options in choices.items()}, undecided))
+    return tuple(steps)
 
 
 def _balanced_subsets(graph: DirectedGraph, n: int) -> Iterator[tuple[int, ...]]:

@@ -20,6 +20,7 @@ from qgspectra.classify import (
     pseudo_orbit_counts,
     pseudo_orbit_record,
     variance_from_classes,
+    variance_row,
     write_orbit_dump,
 )
 from qgspectra.graphs import DirectedGraph
@@ -136,11 +137,15 @@ def _enumerated_census(graph, n, mode="bond_distinct"):
 
 
 def _assert_census_matches_enumeration(graph, n_max):
-    """Bond-distinct census and oracle for n <= min(n_max, B); general
-    census, pseudo-orbit count and diagonal approximation for n <= n_max,
-    also above B.  The one-pass rows must equal the per-n views."""
+    """Bond-distinct census, variance pass and oracle for n <= min(n_max,
+    B); general census, pseudo-orbit count and diagonal approximation for
+    n <= n_max, also above B.  The one-pass rows must equal the per-n
+    views."""
     S = q.build_bond_scattering(graph)
     bond_distinct_rows = class_census(graph, min(n_max, graph.num_bonds))
+    assert variance_row(graph, min(n_max, graph.num_bonds)) == [
+        variance_from_classes(counts) for counts in bond_distinct_rows
+    ]
     general_rows = class_census(graph, n_max, mode="general")
     totals = pseudo_orbit_counts(graph, n_max)
     for n in range(min(n_max, graph.num_bonds) + 1):
@@ -217,6 +222,16 @@ def test_exact_variance_mirror(debruijn8, binary6):
     assert exact_variance(debruijn8, 16) == 1
     with pytest.raises(ValueError):
         exact_variance(debruijn8, 17)
+
+
+def test_variance_pass_pinned_rows():
+    # the B=128 midpoint, for which the census pass takes 47 s and 3.3 GB;
+    # and the whole B=64 row against the census
+    assert exact_variance(q.build_binary_graph(1, 6), 64) == Fraction(2226561237, 2**32)
+    debruijn32 = q.build_binary_graph(1, 5)
+    row = variance_row(debruijn32, 32)
+    assert row == [variance_from_classes(counts) for counts in class_census(debruijn32, 32)]
+    assert row[32] == Fraction(36993, 65536)
 
 
 def test_c_gamma_cover_pair(binary6):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -209,17 +210,37 @@ def test_variance_mc_parses_graph_file_once(tmp_path, monkeypatch, binary6):
     assert float(row["mc_mean"]) == est.mean  # the stored lengths, not --seed's
 
 
-@pytest.mark.parametrize(
-    "stored", [{"a": 1}, [[1.0, 1.1], [1.2]], [str(1 + b / 16) for b in range(12)]]
-)
+_GOOD_LENGTHS = [1 + b / 16 for b in range(12)]
+
+
+@pytest.mark.parametrize("stored", [
+    ({"a": 1}, "lengths must be a vector of numbers"),
+    ([[1.0, 1.1], [1.2]], "lengths must be a vector of numbers"),
+    ([str(x) for x in _GOOD_LENGTHS], "lengths must be a vector of numbers"),
+    ([math.nan, *_GOOD_LENGTHS[1:]], "lengths must be finite"),
+    ([-1.5, *_GOOD_LENGTHS[1:]], "lengths must be strictly positive"),
+    ([1.5, 1.5, *_GOOD_LENGTHS[2:]], "lengths must be pairwise distinct"),
+    (_GOOD_LENGTHS[1:], "stored lengths do not match the bond count"),
+])
 def test_malformed_stored_lengths_exit_config(tmp_path, capsys, binary6, stored):
+    # every command that reads a graph file refuses bad stored lengths at
+    # load, whether or not it uses them
+    lengths, message = stored
     path = tmp_path / "g.json"
     save_graph(binary6, path)
-    path.write_text(json.dumps({**json.loads(path.read_text()), "lengths": stored}))
-    for command in (["variance", "mc"], ["report", "table"]):
-        assert main([*command, "--graph-file", str(path), "--n", "2", "--samples", "10",
-                     "--out", str(tmp_path / "out.csv")]) == EXIT_CONFIG
-        assert "lengths must be a vector of numbers" in capsys.readouterr().err
+    path.write_text(json.dumps({**json.loads(path.read_text()), "lengths": lengths}))
+    out = str(tmp_path / "out.csv")
+    for command in (["variance", "mc", "--n", "2", "--samples", "10"],
+                    ["report", "table", "--n", "2", "--samples", "10"],
+                    ["variance", "exact", "--n", "2"],
+                    ["variance", "oracle", "--n", "2"],
+                    ["variance", "diagonal", "--n", "2"],
+                    ["orbits", "classify", "--n", "2"],
+                    ["orbits", "enumerate", "--n", "2"]):
+        assert main([*command, "--graph-file", str(path), "--out", out]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err, command
+    assert main(["graph", "validate", "--graph-file", str(path), "--out", out]) == EXIT_CONFIG
+    assert message in " ".join(json.loads(Path(out).read_text())["problems"])
 
 
 @pytest.mark.parametrize("n", [4, 10])
@@ -353,11 +374,12 @@ def test_report_table_reference_row_longer_than_header_exits_config(tmp_path, ca
 ])
 def test_one_engine_pass_per_command(argv, size, monkeypatch):
     # one engine call per command, sized at the largest index the mirror
-    # leaves, however many indices the row holds
+    # leaves, however many indices the row holds; the census and the
+    # variance pass both run the one frontier loop
     from qgspectra import classify, cli
 
     calls = []
-    for module, name in ((classify, "_balanced_subset_counts"), (cli, "pseudo_orbit_counts")):
+    for module, name in ((classify, "_frontier_pass"), (cli, "pseudo_orbit_counts")):
         engine = getattr(module, name)
         monkeypatch.setattr(
             module, name, lambda *a, engine=engine: calls.append(a[1]) or engine(*a)

@@ -1,6 +1,7 @@
 """Periodic orbits, pseudo orbits, balanced subsets, and cycle covers."""
 
 import dataclasses
+import gc
 import itertools
 from collections import Counter
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import qgspectra as q
+from qgspectra import orbits
 from qgspectra.classify import _balanced_subset_counts
 from qgspectra.orbits import (
     DEFAULT_CAP,
@@ -126,6 +128,28 @@ def test_admissible_subsets_match_census_counts(small_graphs, debruijn16):
         rows = _balanced_subset_counts(graph, n_max)
         for n in range(n_max + 1):
             assert len(list(admissible_subsets(graph, n))) == sum(rows[n]), (graph, n)
+
+
+def test_vertex_steps_built_once_per_graph():
+    graph = q.build_binary_graph(7, 1)
+    steps = orbits._vertex_steps(graph)
+    assert orbits._vertex_steps(graph) is steps
+    # the census DP and the subset search only read the shared table
+    _balanced_subset_counts(graph, 9)
+    list(admissible_subsets(graph, 9))
+    assert steps == orbits._build_vertex_steps(graph)
+
+
+def test_vertex_steps_die_with_their_graph():
+    gc.collect()
+    before = len(orbits._STEP_TABLES)
+    # a graph no other test builds, so that its entry is its own
+    graph = q.orient_four_regular([(0, 1), (0, 1), (1, 2), (1, 2), (2, 0), (2, 0)])
+    orbits._vertex_steps(graph)
+    assert len(orbits._STEP_TABLES) == before + 1
+    del graph
+    gc.collect()
+    assert len(orbits._STEP_TABLES) == before
 
 
 def test_admissible_subsets_rejects_bad_n(binary6):
