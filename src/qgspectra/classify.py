@@ -14,31 +14,29 @@ as a dyadic rational.
 
 The bond-distinct pseudo orbits of length n are the cycle covers of the
 balanced n-bond subsets, and a subset with N doubly used vertices has
-exactly 2^N of them.  One frontier transfer matrix over the vertex steps
-that the balanced-subset search also runs (``orbits._vertex_steps``,
-built once per graph) sums x^n y^N over the balanced subsets, in exact
-integers, and builds no pseudo orbit.  It runs as one of two passes: the
-census pass counts the subsets by (n, N); the variance pass fixes y = 4,
-so that the coefficient of x^n is 2^n var(n) and no N digit is carried.
-The number |P^n| of all primitive pseudo orbits, repeated bonds
-included, is a power-series coefficient of det(I - x^2 A) / det(I - xA);
-it gives the general-mode census and the diagonal approximation.  Each
-pass, and the series, yields every n <= n_max at once; the per-n
-functions are views of one row.  Enumeration remains where the pseudo
-orbits themselves are the output: JSONL dumps and partner sums.
+exactly 2^N of them.  One frontier pass (``orbits._frontier_pass``) sums
+2^(y_bits N) over the balanced subsets, in exact integers, and builds no
+pseudo orbit.  The census reads it with one base-2^y_bits digit per N;
+the variance reads it at y_bits = 2, where the coefficient of x^n is
+2^n var(n).  The number |P^n| of all primitive pseudo orbits, repeated
+bonds included, is a power-series coefficient of det(I - x^2 A) /
+det(I - xA); it gives the general-mode census and the diagonal
+approximation.  Each pass, and the series, yields every n <= n_max at
+once; the per-n functions are views of one row.  Enumeration remains
+where the pseudo orbits themselves are the output: JSONL dumps and
+partner sums.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable
 
 from .graphs import DirectedGraph
-from .orbits import PseudoOrbit, _vertex_steps
+from .orbits import PseudoOrbit, _frontier_pass
 
 
 @dataclass(frozen=True)
@@ -106,10 +104,12 @@ def class_census(
     if mode not in ("bond_distinct", "general"):
         raise ValueError(f"unknown mode {mode!r}")
     totals = pseudo_orbit_counts(graph, n_max) if mode == "general" else None
-    rows = _balanced_subset_counts(graph, n_max if totals is None else min(n_max, graph.num_bonds))
+    digit = graph.num_bonds + 1  # one digit per N (see _frontier_pass)
+    row = _frontier_pass(graph, n_max if totals is None else min(n_max, graph.num_bonds), digit)
     census = []
     for n in range(n_max + 1):
-        subsets = rows[n] if n < len(rows) else [0]
+        packed = row[n] if n < len(row) else 0
+        subsets = [(packed >> (digit * N)) % (1 << digit) for N in range(n // 2 + 1)]
         p0, phat = subsets[0], {N: 2**N * c for N, c in enumerate(subsets) if N and c}
         excluded = totals[n] - p0 - sum(phat.values()) if totals else 0
         census.append(ClassCounts(n=n, p0=p0, phat=phat, excluded=excluded))
@@ -158,77 +158,14 @@ def pseudo_orbit_counts(graph: DirectedGraph, n_max: int) -> list[int]:
     return totals
 
 
-def _balanced_subset_counts(graph: DirectedGraph, n_max: int) -> list[list[int]]:
-    """Number of balanced n-bond subsets with N doubly used vertices,
-    indexed [n][N] for n = 0..n_max and N = 0..n//2.
-
-    The census pass of :func:`_frontier_pass`: the coefficient of x^n y^N
-    sits at bit width * (n * span + N).  Each coefficient counts subsets
-    of the decided bonds, so it stays below C(B, B//2) < 2^width.
-    """
-    width = math.comb(graph.num_bonds, graph.num_bonds // 2).bit_length()
-    span = n_max // 2 + 1
-    total = _frontier_pass(graph, n_max, width * span, width)
-    digit = (1 << width) - 1
-    return [[(total >> (width * (n * span + N))) & digit for N in range(n // 2 + 1)]
-            for n in range(n_max + 1)]
-
-
 def variance_row(graph: DirectedGraph, n_max: int) -> list[Fraction]:
     """Exact variance of every coefficient n = 0..n_max, in one pass.
 
-    The variance pass of :func:`_frontier_pass`, with y fixed at 4: it sums
-    4^N over the balanced n-bond subsets, which is |P0| + sum_N 2^N |PhatN|
-    since each subset carries 2^N pseudo orbits, and keeps no N digit.
-    With N <= k/2, a coefficient of x^k is at most 2^k C(B, k), below
-    2^width.  No mirror is applied: n_max may reach B.
+    The frontier pass at y_bits = 2 sums 4^N over the balanced n-bond
+    subsets, which is |P0| + sum_N 2^N |PhatN| since each subset carries
+    2^N pseudo orbits.  No mirror is applied: n_max may reach B.
     """
-    width = math.comb(graph.num_bonds, graph.num_bonds // 2).bit_length() + n_max + 1
-    total = _frontier_pass(graph, n_max, width, 2)
-    digit = (1 << width) - 1
-    return [Fraction((total >> (width * n)) & digit, 2**n) for n in range(n_max + 1)]
-
-
-def _frontier_pass(graph: DirectedGraph, n_max: int, x_shift: int, y_shift: int) -> int:
-    """Generating polynomial of the balanced bond subsets in x (selected
-    bonds) and y (doubly used vertices), truncated at x^n_max and packed
-    into one int: multiplying by x shifts it by ``x_shift`` bits, by y by
-    ``y_shift`` bits.  The caller sizes the shifts so that no coefficient
-    overflows into the next.
-
-    Frontier transfer matrix over :func:`orbits._vertex_steps`: the state
-    is the set of selected open bonds (a bitmask) and carries the
-    polynomial of the subsets that reach it.  A step keeps the choices
-    that balance the vertex and drops the bonds it closes.  Only these
-    passes need at most two bonds in and two out at each vertex.
-    """
-    B = graph.num_bonds
-    if not 0 <= n_max <= B:
-        raise ValueError(f"n must lie in 0..{B}")
-    for v in range(graph.vertex_count):
-        n_in, n_out = len(graph.in_bonds[v]), len(graph.out_bonds[v])
-        if n_in > 2 or n_out > 2:
-            raise ValueError(
-                f"vertex {v} has {n_in} incoming / {n_out} outgoing bonds; "
-                "the class census needs at most 2 of each"
-            )
-    keep = (1 << (x_shift * (n_max + 1))) - 1
-    states: dict[int, int] = {0: 1}
-    for closing_in, closing_out, choices, _ in _vertex_steps(graph):
-        unclosed = ~(closing_in | closing_out)
-        step: dict[int, int] = {}
-        for mask, poly in states.items():
-            c_in = (mask & closing_in).bit_count()
-            c_out = (mask & closing_out).bit_count()
-            base = mask & unclosed
-            for d_in, k, _, opened in choices.get(c_out - c_in, ()):
-                shift = x_shift * k + y_shift * (c_in + d_in == 2)
-                term = (poly << shift) & keep
-                if term:
-                    key = base | opened
-                    step[key] = step.get(key, 0) + term
-        states = step
-    return states.get(0, 0)
+    return [Fraction(total, 2**n) for n, total in enumerate(_frontier_pass(graph, n_max, 2))]
 
 
 def variance_from_classes(counts: ClassCounts) -> Fraction:

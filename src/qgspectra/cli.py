@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 configuration or input error, 2 exact-vs-oracle
 mismatch, 3 mismatch against a supplied reference table, 4 Monte Carlo
 estimate outside tolerance, 5 enumeration cap exceeded (``orbits enumerate``
-only; every count and variance is computed without enumeration).
+only, whose ``--cap`` bounds the pseudo orbits written; every count and
+variance is computed without enumeration).  The oracle runs at n only where
+it evaluates at most ``SUBSET_LIMIT`` balanced minors; one counting pass
+gives their number before any is evaluated.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .graphs import (
     save_graph,
     validate_graph,
 )
-from .orbits import DEFAULT_CAP, EnumerationCapExceeded, enumerate_pseudo_orbits
+from .orbits import DEFAULT_CAP, EnumerationCapExceeded, _frontier_pass, enumerate_pseudo_orbits
 from .quantize import BondLengths, build_bond_scattering, sample_bond_lengths
 from .spectral import DEFAULT_K_MAX, mc_variance, minor_sum_variance
 
@@ -51,8 +54,7 @@ EXIT_CAP = 5
 
 ORACLE_TOL = 1e-12
 DEFAULT_MC_TOL = 5e-3
-# the largest C(B, n) at which the oracle runs: it sums balanced minors only, but
-# the gate counts every subset, so exit codes and n/a cells depend on B and n alone
+# the most balanced minors the oracle evaluates at one n
 SUBSET_LIMIT = 2_000_000
 
 
@@ -204,68 +206,76 @@ def cmd_orbits_classify(args) -> int:
 # --- variance ---------------------------------------------------------
 
 
-def _exact_columns(graph: DirectedGraph, ns: list[int]):
-    """Census (None above B/2) and mirrored exact variance at each n, in one pass."""
+def _exact_column(graph: DirectedGraph, ns: list[int]) -> list[Fraction]:
+    """The exact variance at each n, from one pass sized at the largest
+    index the mirror var(n) = var(B - n) leaves."""
     B = graph.num_bonds
-    census = class_census(graph, max(min(n, B - n) for n in ns))
-    return ([census[n] if n <= B // 2 else None for n in ns],
-            [variance_from_classes(census[min(n, B - n)]) for n in ns])
+    row = variance_row(graph, max(min(n, B - n) for n in ns))
+    return [row[min(n, B - n)] for n in ns]
 
 
 def cmd_variance_exact(args) -> int:
     graph, _ = _resolve_graph(args)
-    B = graph.num_bonds
-    ns = _index_range(args, B)
-    row = variance_row(graph, max(min(n, B - n) for n in ns))
-    exact = [row[min(n, B - n)] for n in ns]
+    ns = _index_range(args, graph.num_bonds)
+    exact = _exact_column(graph, ns)
     rows = [[_fmt(n), _fmt(frac), _fmt(float(frac))] for n, frac in zip(ns, exact)]
     _emit(_csv_text(["n", "exact_fraction", "exact"], rows), args.out)
     return EXIT_OK
 
 
-def _oracle_feasible(B: int, n: int) -> bool:
-    return math.comb(B, n) <= SUBSET_LIMIT
+def _minor_counts(graph: DirectedGraph, ns: list[int]) -> list[int]:
+    """The balanced minors the oracle evaluates at each n, from one counting
+    pass: the complement of a balanced subset is balanced, so n and B - n
+    have as many."""
+    B = graph.num_bonds
+    row = _frontier_pass(graph, max(min(n, B - n) for n in ns), 0)
+    return [row[min(n, B - n)] for n in ns]
 
 
 def cmd_variance_oracle(args) -> int:
     graph, _ = _resolve_graph(args)
-    S = build_bond_scattering(graph)
     ns = _index_range(args, graph.num_bonds)
-    for n in ns:
-        if not _oracle_feasible(graph.num_bonds, n):
+    for n, count in zip(ns, _minor_counts(graph, ns)):
+        if count > SUBSET_LIMIT:
             raise ValueError(
-                f"the oracle at n={n} is gated on C(B, n) = {math.comb(graph.num_bonds, n)} "
-                f"subsets, above the limit of {SUBSET_LIMIT}"
+                f"the oracle at n={n} would evaluate {count} balanced minors, "
+                f"above the limit of {SUBSET_LIMIT}"
             )
+    S = build_bond_scattering(graph)
     rows = [[_fmt(n), _fmt(minor_sum_variance(S, n))] for n in ns]
     _emit(_csv_text(["n", "oracle"], rows), args.out)
     return EXIT_OK
 
 
-def _cross_check(args, graph: DirectedGraph, lengths):
+def _cross_check(args, graph: DirectedGraph, lengths, census: bool = False):
     """Every route at each requested n, timed route by route.
 
     Returns ``(rows, timings)`` with one ``(n, census, exact, oracle,
-    estimate)`` row per n.  The census is None above B/2, where the exact
-    value comes from the mirror n -> B - n; the oracle is None where
-    C(B, n) exceeds ``SUBSET_LIMIT``.
+    estimate)`` row per n.  The census is counted only if asked for, and
+    is None above B/2, where the exact value comes from the mirror
+    n -> B - n; the oracle is None where it would evaluate more than
+    ``SUBSET_LIMIT`` balanced minors.
     """
     B = graph.num_bonds
     ns = _index_range(args, B)
     S = build_bond_scattering(graph)
 
     t0 = time.perf_counter()
-    census, exact = _exact_columns(graph, ns)
+    exact = _exact_column(graph, ns)
+    minors = _minor_counts(graph, ns)
+    counts = class_census(graph, max(min(n, B - n) for n in ns)) if census else None
     t1 = time.perf_counter()
     oracle = [
-        minor_sum_variance(S, n) if _oracle_feasible(B, n) else None for n in ns
+        minor_sum_variance(S, n) if count <= SUBSET_LIMIT else None
+        for n, count in zip(ns, minors)
     ]
     t2 = time.perf_counter()
     estimates = mc_variance(
         S, lengths, ns, args.samples, args.seed, args.kmax, threads=args.threads
     )
     t3 = time.perf_counter()
-    rows = list(zip(ns, census, exact, oracle, estimates))
+    census_column = [counts[n] if counts and n <= B // 2 else None for n in ns]
+    rows = list(zip(ns, census_column, exact, oracle, estimates))
     return rows, {"exact_s": t1 - t0, "oracle_s": t2 - t1, "mc_s": t3 - t2}
 
 
@@ -324,7 +334,7 @@ def cmd_report_table(args) -> int:
     if not 0 <= args.mc_tol < math.inf:
         raise ValueError(f"--mc-tol must be finite and non-negative, got {args.mc_tol}")
     graph, lengths = _resolve_graph_and_lengths(args)
-    rows, timings = _cross_check(args, graph, lengths)
+    rows, timings = _cross_check(args, graph, lengths, census=True)
 
     max_encounters = max(
         (max(counts.phat, default=0) for _, counts, *_ in rows if counts), default=0

@@ -189,7 +189,7 @@ _STEP_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _vertex_steps(graph: DirectedGraph) -> tuple[tuple[int, int, dict, int], ...]:
     """One step per vertex, in :func:`_elimination_order`, for the
-    balanced-subset search and the frontier passes (``classify``).
+    balanced-subset search and the frontier pass.
 
     A step ``(closing_in, closing_out, choices, undecided)`` decides the
     vertex's bonds to later vertices and its self-loops.  It holds the
@@ -262,6 +262,53 @@ def _balanced_subsets(graph: DirectedGraph, n: int) -> Iterator[tuple[int, ...]]
         for _, k, chosen, _ in choices.get(need, ()):
             if count + k <= n <= count + k + undecided:
                 stack.append((i + 1, count + k, mask | chosen))
+
+
+def _frontier_pass(graph: DirectedGraph, n_max: int, y_bits: int) -> list[int]:
+    """Sum of 2^(y_bits * N(I)) over the balanced n-bond subsets I, for
+    n = 0..n_max, where N(I) counts the vertices I uses twice: y_bits = 0
+    counts the subsets (the oracle's minors), 1 their cycle covers (the
+    bond-distinct pseudo orbits) and 2 gives 2^n var(n).  y_bits = B + 1
+    keeps the counts by N apart, one base-2^y_bits digit each, since no
+    count of n-bond subsets reaches 2^(B+1).
+
+    Frontier transfer matrix over :func:`_vertex_steps`: the state is the
+    set of selected open bonds (a bitmask) and carries the polynomial in x
+    of the subsets that reach it, packed into one int; with N <= n/2 no
+    coefficient reaches 2^width.  A step keeps the choices that balance
+    the vertex and drops the bonds it closes.  Only this pass needs at
+    most two bonds in and two out at each vertex.
+    """
+    B = graph.num_bonds
+    if not 0 <= n_max <= B:
+        raise ValueError(f"n must lie in 0..{B}")
+    for v in range(graph.vertex_count):
+        n_in, n_out = len(graph.in_bonds[v]), len(graph.out_bonds[v])
+        if n_in > 2 or n_out > 2:
+            raise ValueError(
+                f"vertex {v} has {n_in} incoming / {n_out} outgoing bonds; "
+                "counting balanced subsets needs at most 2 of each"
+            )
+    width = B + 1 + y_bits * (n_max // 2)
+    keep = (1 << (width * (n_max + 1))) - 1
+    states: dict[int, int] = {0: 1}
+    for closing_in, closing_out, choices, _ in _vertex_steps(graph):
+        unclosed = ~(closing_in | closing_out)
+        step: dict[int, int] = {}
+        for mask, poly in states.items():
+            c_in = (mask & closing_in).bit_count()
+            c_out = (mask & closing_out).bit_count()
+            base = mask & unclosed
+            for d_in, k, _, opened in choices.get(c_out - c_in, ()):
+                shift = width * k + y_bits * (c_in + d_in == 2)
+                term = (poly << shift) & keep
+                if term:
+                    key = base | opened
+                    step[key] = step.get(key, 0) + term
+        states = step
+    total = states.get(0, 0)
+    digit = (1 << width) - 1
+    return [(total >> (width * n)) & digit for n in range(n_max + 1)]
 
 
 def admissible_subsets(graph: DirectedGraph, n: int) -> Iterator[tuple[int, ...]]:
@@ -390,9 +437,9 @@ def enumerate_pseudo_orbits(
     """Primitive pseudo orbits with n bonds in total, sorted canonically.
 
     ``bond_distinct`` unions the cycle covers of all balanced n-subsets,
-    found by a search whose cost follows their number.  C(B, n) must
-    still not exceed ``cap``: the gate is kept as it was so that the exit
-    codes of ``orbits enumerate`` stay stable.
+    found by a search whose cost follows their number.  It refuses, before
+    building any, to return more than ``cap`` pseudo orbits; their number
+    comes from :func:`_frontier_pass`.
     ``general`` combines arbitrary distinct primitive orbits of total
     length n and is a strict superset once n admits repeated bonds; its
     orbit search takes at most ``cap`` steps.
@@ -400,10 +447,11 @@ def enumerate_pseudo_orbits(
     if n < 0:
         raise ValueError("n must be nonnegative")
     if mode == "bond_distinct":
-        if math.comb(graph.num_bonds, n) > cap:
-            raise EnumerationCapExceeded(f"C({graph.num_bonds}, {n}) subsets exceed the cap {cap}")
+        count = _frontier_pass(graph, n, 1)[n]
+        if count > cap:
+            raise EnumerationCapExceeded(f"{count} pseudo orbits at n={n} exceed the cap {cap}")
         out: list[PseudoOrbit] = []
-        for subset in admissible_subsets(graph, n):
+        for subset in _balanced_subsets(graph, n):
             out.extend(covers_of_subset(graph, subset).covers)
         return sorted(out, key=lambda po: po.orbits)
     if mode == "general":

@@ -155,16 +155,17 @@ def test_variance_oracle_csv(tmp_path, capsys):
 
 
 def test_variance_oracle_beyond_the_limit_exits_config():
-    # without the limit, n = 32 on B=64 would evaluate C(64, 32) ~ 1.8e18 minors
+    # B=128 has 2 722 650 balanced 25-bond subsets, the first count above the
+    # limit; one counting pass refuses them before any minor is evaluated
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-m", "qgspectra.cli", "variance", "oracle", "--p", "1", "--r", "5"],
+        [sys.executable, "-m", "qgspectra.cli", "variance", "oracle", "--p", "1", "--r", "6"],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == EXIT_CONFIG
     assert proc.stdout == ""
-    assert "n=5" in proc.stderr and "2000000" in proc.stderr
+    assert "n=25" in proc.stderr and "2000000" in proc.stderr
 
 
 def test_variance_mc_row_fields(tmp_path):
@@ -179,19 +180,40 @@ def test_variance_mc_row_fields(tmp_path):
 
 
 def test_exact_column_beyond_oracle_limit(tmp_path):
-    # C(32, 16) minors are past the oracle's limit; exact and census stay
+    # 2 722 650 balanced minors at B=128, n=25 are past the oracle's limit;
+    # exact and census stay
     out = tmp_path / "mc.csv"
-    assert main(["variance", "mc", "--p", "1", "--r", "4", "--n", "16",
-                 "--samples", "50", "--out", str(out)]) == EXIT_OK
+    assert main(["variance", "mc", "--p", "1", "--r", "6", "--n", "25",
+                 "--samples", "20", "--out", str(out)]) == EXIT_OK
     row = _read_csv(out)[0]
-    assert (row["exact"], row["oracle"]) == ("0.56640625", "n/a")
+    assert (row["exact"], row["oracle"]) == ("0.5180683135986328", "n/a")
 
     out = tmp_path / "table.csv"
-    assert main(["report", "table", "--p", "1", "--r", "4", "--n", "16",
-                 "--samples", "50", "--mc-tol", "1", "--out", str(out)]) == EXIT_OK
+    assert main(["report", "table", "--p", "1", "--r", "6", "--n", "25",
+                 "--samples", "20", "--mc-tol", "1", "--out", str(out)]) == EXIT_OK
     row = _read_csv(out)[0]
-    assert (row["p0"], row["exact_fraction"], row["oracle"]) == ("256", "145/256", "n/a")
-    assert sum(int(row[f"phat{N}"]) for N in range(1, 6)) == 3648
+    assert (row["p0"], row["exact_fraction"], row["oracle"]) == ("1274240", "271617/524288", "n/a")
+    assert sum(int(row[f"phat{N}"]) for N in range(1, 7)) == 4130288
+
+
+def test_report_table_fills_every_oracle_cell_at_b32(tmp_path):
+    # at most 814 balanced minors per n at B=32, so the oracle reaches every
+    # row; exit 0 means each agrees with the exact value within ORACLE_TOL
+    out = tmp_path / "table.csv"
+    assert main(["report", "table", "--p", "1", "--r", "4", "--samples", "2000",
+                 "--mc-tol", "1", "--out", str(out)]) == EXIT_OK
+    rows = _read_csv(out)
+    assert [row["n"] for row in rows] == [str(n) for n in range(17)]
+    oracle = [float(row["oracle"]) for row in rows]
+    assert abs(oracle[16] - 145 / 256) < 1e-12
+
+
+def test_orbits_enumerate_b32_midpoint(tmp_path):
+    # 3904 pseudo orbits, far below the default cap although C(32, 16) ~ 6e8
+    out = tmp_path / "orbits.jsonl"
+    assert main(["orbits", "enumerate", "--p", "1", "--r", "4", "--n", "16",
+                 "--out", str(out)]) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 3904
 
 
 def test_variance_mc_parses_graph_file_once(tmp_path, monkeypatch, binary6):
@@ -373,19 +395,21 @@ def test_report_table_reference_row_longer_than_header_exits_config(tmp_path, ca
     (["variance", "diagonal", "--p", "3", "--r", "2"], 12),
 ])
 def test_one_engine_pass_per_command(argv, size, monkeypatch):
-    # one engine call per command, sized at the largest index the mirror
-    # leaves, however many indices the row holds; the census and the
-    # variance pass both run the one frontier loop
+    # one engine call per row, sized at the largest index the mirror leaves,
+    # however many indices the row holds; report table runs three rows of
+    # the one frontier pass: the census it prints, the variance and the
+    # oracle gate
     from qgspectra import classify, cli
 
     calls = []
-    for module, name in ((classify, "_frontier_pass"), (cli, "pseudo_orbit_counts")):
+    for module, name in ((classify, "_frontier_pass"), (cli, "_frontier_pass"),
+                         (cli, "pseudo_orbit_counts")):
         engine = getattr(module, name)
         monkeypatch.setattr(
             module, name, lambda *a, engine=engine: calls.append(a[1]) or engine(*a)
         )
     assert main(argv) == EXIT_OK
-    assert calls == [size]
+    assert calls == [size] * (3 if argv[0] == "report" else 1)
 
 
 def test_report_table_mc_divergence_exit(tmp_path):

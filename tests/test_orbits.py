@@ -10,7 +10,6 @@ import pytest
 
 import qgspectra as q
 from qgspectra import orbits
-from qgspectra.classify import _balanced_subset_counts
 from qgspectra.orbits import (
     DEFAULT_CAP,
     EnumerationCapExceeded,
@@ -122,20 +121,26 @@ def test_admissible_subsets_match_bruteforce(small_graphs):
             assert list(admissible_subsets(graph, n)) == expected, (graph, n)
 
 
-def test_admissible_subsets_match_census_counts(small_graphs, debruijn16):
-    """The search finds as many balanced subsets as the census DP counts."""
-    for graph, n_max in [(g, g.num_bonds) for g in small_graphs] + [(debruijn16, 16)]:
-        rows = _balanced_subset_counts(graph, n_max)
-        for n in range(n_max + 1):
-            assert len(list(admissible_subsets(graph, n))) == sum(rows[n]), (graph, n)
+def test_admissible_subsets_match_census_counts(small_graphs, family_graphs):
+    """The frontier pass counts, at every n, the balanced subsets the search
+    finds (y_bits = 0) and the pseudo orbits a dump returns (y_bits = 1).
+    The subset counts are mirror-symmetric, as the oracle gate assumes."""
+    for graph in [*small_graphs, *family_graphs]:
+        B = graph.num_bonds
+        subsets = orbits._frontier_pass(graph, B, 0)
+        orbit_counts = orbits._frontier_pass(graph, B, 1)
+        assert subsets == subsets[::-1], graph
+        for n in range(B + 1):
+            assert len(list(admissible_subsets(graph, n))) == subsets[n], (graph, n)
+            assert len(enumerate_pseudo_orbits(graph, n)) == orbit_counts[n], (graph, n)
 
 
 def test_vertex_steps_built_once_per_graph():
     graph = q.build_binary_graph(7, 1)
     steps = orbits._vertex_steps(graph)
     assert orbits._vertex_steps(graph) is steps
-    # the census DP and the subset search only read the shared table
-    _balanced_subset_counts(graph, 9)
+    # the frontier pass and the subset search only read the shared table
+    q.class_census(graph, 9)
     list(admissible_subsets(graph, 9))
     assert steps == orbits._build_vertex_steps(graph)
 
@@ -244,7 +249,7 @@ def test_enumerate_rejects_bad_args(binary6):
 
 @pytest.mark.parametrize("mode", ["general", "bond_distinct"])
 def test_enumerate_cap(binary6, mode):
-    # bond_distinct would walk C(12, 6) = 924 subsets
+    # binary6 has 16 bond-distinct pseudo orbits at n=6, above the cap of 10
     with pytest.raises(EnumerationCapExceeded):
         enumerate_pseudo_orbits(binary6, 6, mode=mode, cap=10)
 
