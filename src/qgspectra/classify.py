@@ -14,17 +14,17 @@ as a dyadic rational.
 
 The bond-distinct pseudo orbits of length n are the cycle covers of the
 balanced n-bond subsets, and a subset with N doubly used vertices has
-exactly 2^N of them.  One frontier pass (``orbits._frontier_pass``) sums
-2^(y_bits N) over the balanced subsets, in exact integers, and builds no
-pseudo orbit.  The census reads it with one base-2^y_bits digit per N;
-the variance reads it at y_bits = 2, where the coefficient of x^n is
-2^n var(n).  The number |P^n| of all primitive pseudo orbits, repeated
-bonds included, is a power-series coefficient of det(I - x^2 A) /
-det(I - xA); it gives the general-mode census and the diagonal
-approximation.  Each pass, and the series, yields every n <= n_max at
-once; the per-n functions are views of one row.  Enumeration remains
-where the pseudo orbits themselves are the output: JSONL dumps and
-partner sums.
+exactly 2^N of them.  One frontier transfer matrix (``orbits._frontier_pass``)
+sums x^n y^N over the balanced subsets, in exact integers, and builds no
+pseudo orbit.  It runs as one of two passes: the census pass counts the
+subsets by (n, N); the variance pass fixes y = 4, so that the coefficient
+of x^n is 2^n var(n) and no N digit is carried.
+The number |P^n| of all primitive pseudo orbits, repeated bonds
+included, is a power-series coefficient of det(I - x^2 A) / det(I - xA);
+it gives the general-mode census and the diagonal approximation.  Each
+pass, and the series, yields every n <= n_max at once; the per-n
+functions are views of one row.  Enumeration remains where the pseudo
+orbits themselves are the output: JSONL dumps and partner sums.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import IO, Iterable
 
 from .graphs import DirectedGraph
-from .orbits import PseudoOrbit, _frontier_pass
+from .orbits import PseudoOrbit, _encounter_counts, _frontier_pass
 
 
 @dataclass(frozen=True)
@@ -104,12 +104,10 @@ def class_census(
     if mode not in ("bond_distinct", "general"):
         raise ValueError(f"unknown mode {mode!r}")
     totals = pseudo_orbit_counts(graph, n_max) if mode == "general" else None
-    digit = graph.num_bonds + 1  # one digit per N (see _frontier_pass)
-    row = _frontier_pass(graph, n_max if totals is None else min(n_max, graph.num_bonds), digit)
+    rows = _encounter_counts(graph, n_max if totals is None else min(n_max, graph.num_bonds))
     census = []
     for n in range(n_max + 1):
-        packed = row[n] if n < len(row) else 0
-        subsets = [(packed >> (digit * N)) % (1 << digit) for N in range(n // 2 + 1)]
+        subsets = rows[n] if n < len(rows) else [0]
         p0, phat = subsets[0], {N: 2**N * c for N, c in enumerate(subsets) if N and c}
         excluded = totals[n] - p0 - sum(phat.values()) if totals else 0
         census.append(ClassCounts(n=n, p0=p0, phat=phat, excluded=excluded))

@@ -5,8 +5,8 @@ mismatch, 3 mismatch against a supplied reference table, 4 Monte Carlo
 estimate outside tolerance, 5 enumeration cap exceeded (``orbits enumerate``
 only, whose ``--cap`` bounds the pseudo orbits written; every count and
 variance is computed without enumeration).  The oracle runs at n only where
-it evaluates at most ``SUBSET_LIMIT`` balanced minors; one counting pass
-gives their number before any is evaluated.
+it evaluates at most ``SUBSET_LIMIT`` balanced minors; a counting pass,
+itself bounded by ``FRONTIER_STATE_LIMIT``, decides before any is evaluated.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ from .graphs import (
     save_graph,
     validate_graph,
 )
-from .orbits import DEFAULT_CAP, EnumerationCapExceeded, _frontier_pass, enumerate_pseudo_orbits
+from .orbits import (DEFAULT_CAP, FRONTIER_STATE_LIMIT, EnumerationCapExceeded, _frontier_pass,
+                     enumerate_pseudo_orbits)
 from .quantize import BondLengths, build_bond_scattering, sample_bond_lengths
 from .spectral import DEFAULT_K_MAX, mc_variance, minor_sum_variance
 
@@ -206,41 +207,40 @@ def cmd_orbits_classify(args) -> int:
 # --- variance ---------------------------------------------------------
 
 
-def _exact_column(graph: DirectedGraph, ns: list[int]) -> list[Fraction]:
-    """The exact variance at each n, from one pass sized at the largest
-    index the mirror var(n) = var(B - n) leaves."""
+def _mirrored(graph: DirectedGraph, ns: list[int], row_of):
+    """``row_of(m)`` read at each n, from one call sized at the largest
+    index m the mirror n -> B - n leaves; None if that call gives None."""
     B = graph.num_bonds
-    row = variance_row(graph, max(min(n, B - n) for n in ns))
-    return [row[min(n, B - n)] for n in ns]
+    row = row_of(max(min(n, B - n) for n in ns))
+    return None if row is None else [row[min(n, B - n)] for n in ns]
 
 
 def cmd_variance_exact(args) -> int:
     graph, _ = _resolve_graph(args)
     ns = _index_range(args, graph.num_bonds)
-    exact = _exact_column(graph, ns)
+    exact = _mirrored(graph, ns, lambda m: variance_row(graph, m))
     rows = [[_fmt(n), _fmt(frac), _fmt(float(frac))] for n, frac in zip(ns, exact)]
     _emit(_csv_text(["n", "exact_fraction", "exact"], rows), args.out)
     return EXIT_OK
 
 
-def _minor_counts(graph: DirectedGraph, ns: list[int]) -> list[int]:
-    """The balanced minors the oracle evaluates at each n, from one counting
-    pass: the complement of a balanced subset is balanced, so n and B - n
-    have as many."""
-    B = graph.num_bonds
-    row = _frontier_pass(graph, max(min(n, B - n) for n in ns), 0)
-    return [row[min(n, B - n)] for n in ns]
+def _minor_counts(graph: DirectedGraph, ns: list[int]) -> list[int] | None:
+    """The balanced minors the oracle evaluates at each n (the complement of
+    a balanced subset is balanced); None past ``FRONTIER_STATE_LIMIT``."""
+    return _mirrored(graph, ns, lambda m: _frontier_pass(graph, m, 0, FRONTIER_STATE_LIMIT))
 
 
 def cmd_variance_oracle(args) -> int:
     graph, _ = _resolve_graph(args)
     ns = _index_range(args, graph.num_bonds)
-    for n, count in zip(ns, _minor_counts(graph, ns)):
+    minors = _minor_counts(graph, ns)
+    if minors is None:
+        raise ValueError(f"counting the oracle's balanced minors up to n={ns[-1]} needs "
+                         f"more than {FRONTIER_STATE_LIMIT} frontier states")
+    for n, count in zip(ns, minors):
         if count > SUBSET_LIMIT:
-            raise ValueError(
-                f"the oracle at n={n} would evaluate {count} balanced minors, "
-                f"above the limit of {SUBSET_LIMIT}"
-            )
+            raise ValueError(f"the oracle at n={n} would evaluate {count} balanced minors, "
+                             f"above the limit of {SUBSET_LIMIT}")
     S = build_bond_scattering(graph)
     rows = [[_fmt(n), _fmt(minor_sum_variance(S, n))] for n in ns]
     _emit(_csv_text(["n", "oracle"], rows), args.out)
@@ -251,19 +251,24 @@ def _cross_check(args, graph: DirectedGraph, lengths, census: bool = False):
     """Every route at each requested n, timed route by route.
 
     Returns ``(rows, timings)`` with one ``(n, census, exact, oracle,
-    estimate)`` row per n.  The census is counted only if asked for, and
-    is None above B/2, where the exact value comes from the mirror
-    n -> B - n; the oracle is None where it would evaluate more than
-    ``SUBSET_LIMIT`` balanced minors.
+    estimate)`` row per n.  A census, if asked for, also gives the exact
+    and minor counts; it is None above B/2, where the mirror n -> B - n
+    gives the exact value.  The oracle is None past ``SUBSET_LIMIT``
+    balanced minors, or everywhere if counting them fails.
     """
     B = graph.num_bonds
     ns = _index_range(args, B)
     S = build_bond_scattering(graph)
 
     t0 = time.perf_counter()
-    exact = _exact_column(graph, ns)
-    minors = _minor_counts(graph, ns)
-    counts = class_census(graph, max(min(n, B - n) for n in ns)) if census else None
+    if census:
+        counts = _mirrored(graph, ns, lambda m: class_census(graph, m))
+        exact = [variance_from_classes(c) for c in counts]
+        minors = [c.p0 + sum(k >> N for N, k in c.phat.items()) for c in counts]
+    else:
+        counts = [None] * len(ns)
+        exact = _mirrored(graph, ns, lambda m: variance_row(graph, m))
+        minors = _minor_counts(graph, ns) or [math.inf] * len(ns)
     t1 = time.perf_counter()
     oracle = [
         minor_sum_variance(S, n) if count <= SUBSET_LIMIT else None
@@ -274,7 +279,7 @@ def _cross_check(args, graph: DirectedGraph, lengths, census: bool = False):
         S, lengths, ns, args.samples, args.seed, args.kmax, threads=args.threads
     )
     t3 = time.perf_counter()
-    census_column = [counts[n] if counts and n <= B // 2 else None for n in ns]
+    census_column = [c if n <= B // 2 else None for n, c in zip(ns, counts)]
     rows = list(zip(ns, census_column, exact, oracle, estimates))
     return rows, {"exact_s": t1 - t0, "oracle_s": t2 - t1, "mc_s": t3 - t2}
 

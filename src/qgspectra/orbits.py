@@ -29,6 +29,7 @@ from .lyndon import is_lyndon
 from .quantize import transition_sign
 
 DEFAULT_CAP = 2_000_000
+FRONTIER_STATE_LIMIT = 100_000  # frontier states a gate's count may hold
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -264,20 +265,20 @@ def _balanced_subsets(graph: DirectedGraph, n: int) -> Iterator[tuple[int, ...]]
                 stack.append((i + 1, count + k, mask | chosen))
 
 
-def _frontier_pass(graph: DirectedGraph, n_max: int, y_bits: int) -> list[int]:
+def _frontier_pass(graph: DirectedGraph, n_max: int, y_bits: int,
+                   max_states: int | None = None) -> list[int] | None:
     """Sum of 2^(y_bits * N(I)) over the balanced n-bond subsets I, for
     n = 0..n_max, where N(I) counts the vertices I uses twice: y_bits = 0
     counts the subsets (the oracle's minors), 1 their cycle covers (the
-    bond-distinct pseudo orbits) and 2 gives 2^n var(n).  y_bits = B + 1
-    keeps the counts by N apart, one base-2^y_bits digit each, since no
-    count of n-bond subsets reaches 2^(B+1).
+    bond-distinct pseudo orbits) and 2 gives 2^n var(n).  None, unfinished,
+    once the frontier holds more than ``max_states`` states, if given.
 
     Frontier transfer matrix over :func:`_vertex_steps`: the state is the
     set of selected open bonds (a bitmask) and carries the polynomial in x
-    of the subsets that reach it, packed into one int; with N <= n/2 no
-    coefficient reaches 2^width.  A step keeps the choices that balance
-    the vertex and drops the bonds it closes.  Only this pass needs at
-    most two bonds in and two out at each vertex.
+    of the subsets that reach it, packed into one int; subset counts stay
+    below 2^(B+1) and N <= n/2, so no coefficient reaches 2^width.  A step
+    keeps the choices that balance the vertex and drops the bonds it
+    closes.  Only this pass needs at most two bonds in and out per vertex.
     """
     B = graph.num_bonds
     if not 0 <= n_max <= B:
@@ -285,10 +286,8 @@ def _frontier_pass(graph: DirectedGraph, n_max: int, y_bits: int) -> list[int]:
     for v in range(graph.vertex_count):
         n_in, n_out = len(graph.in_bonds[v]), len(graph.out_bonds[v])
         if n_in > 2 or n_out > 2:
-            raise ValueError(
-                f"vertex {v} has {n_in} incoming / {n_out} outgoing bonds; "
-                "counting balanced subsets needs at most 2 of each"
-            )
+            raise ValueError(f"vertex {v} has {n_in} incoming / {n_out} outgoing bonds; "
+                             "counting balanced subsets needs at most 2 of each")
     width = B + 1 + y_bits * (n_max // 2)
     keep = (1 << (width * (n_max + 1))) - 1
     states: dict[int, int] = {0: 1}
@@ -305,10 +304,21 @@ def _frontier_pass(graph: DirectedGraph, n_max: int, y_bits: int) -> list[int]:
                 if term:
                     key = base | opened
                     step[key] = step.get(key, 0) + term
+            if max_states is not None and len(step) > max_states:
+                return None
         states = step
     total = states.get(0, 0)
     digit = (1 << width) - 1
     return [(total >> (width * n)) & digit for n in range(n_max + 1)]
+
+
+def _encounter_counts(graph: DirectedGraph, n_max: int) -> list[list[int]]:
+    """Entry [n][N] counts the balanced n-bond subsets, n <= n_max, with N
+    doubly used vertices: :func:`_frontier_pass` with one digit per N."""
+    digit = graph.num_bonds + 1
+    row = _frontier_pass(graph, n_max, digit)
+    return [[(packed >> (digit * N)) % (1 << digit) for N in range(n // 2 + 1)]
+            for n, packed in enumerate(row)]
 
 
 def admissible_subsets(graph: DirectedGraph, n: int) -> Iterator[tuple[int, ...]]:
@@ -437,9 +447,9 @@ def enumerate_pseudo_orbits(
     """Primitive pseudo orbits with n bonds in total, sorted canonically.
 
     ``bond_distinct`` unions the cycle covers of all balanced n-subsets,
-    found by a search whose cost follows their number.  It refuses, before
-    building any, to return more than ``cap`` pseudo orbits; their number
-    comes from :func:`_frontier_pass`.
+    found by a search whose cost follows their number.  Before building
+    any, it refuses more than ``cap`` of them, or a count by
+    :func:`_frontier_pass` past ``FRONTIER_STATE_LIMIT`` frontier states.
     ``general`` combines arbitrary distinct primitive orbits of total
     length n and is a strict superset once n admits repeated bonds; its
     orbit search takes at most ``cap`` steps.
@@ -447,9 +457,12 @@ def enumerate_pseudo_orbits(
     if n < 0:
         raise ValueError("n must be nonnegative")
     if mode == "bond_distinct":
-        count = _frontier_pass(graph, n, 1)[n]
-        if count > cap:
-            raise EnumerationCapExceeded(f"{count} pseudo orbits at n={n} exceed the cap {cap}")
+        row = _frontier_pass(graph, n, 1, FRONTIER_STATE_LIMIT)
+        if row is None:
+            raise EnumerationCapExceeded(f"counting the pseudo orbits at n={n} needs more "
+                                         f"than {FRONTIER_STATE_LIMIT} frontier states")
+        if row[n] > cap:
+            raise EnumerationCapExceeded(f"{row[n]} pseudo orbits at n={n} exceed the cap {cap}")
         out: list[PseudoOrbit] = []
         for subset in _balanced_subsets(graph, n):
             out.extend(covers_of_subset(graph, subset).covers)

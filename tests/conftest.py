@@ -74,12 +74,6 @@ def family_graph(request):
 
 
 @pytest.fixture(scope="session")
-def family_graphs():
-    """Every graph of ``family_graph`` in one list, for a test that checks them all at once."""
-    return [build(*params) for build, *params in map(GRAPH_FAMILY.get, sorted(GRAPH_FAMILY))]
-
-
-@pytest.fixture(scope="session")
 def random_graphs():
     return [seeded_four_regular(s) for s in RANDOM_GRAPH_SEEDS]
 

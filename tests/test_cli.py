@@ -168,6 +168,24 @@ def test_variance_oracle_beyond_the_limit_exits_config():
     assert "n=25" in proc.stderr and "2000000" in proc.stderr
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["variance", "oracle", "--p", "1", "--r", "7"], EXIT_CONFIG),
+    (["orbits", "enumerate", "--p", "1", "--r", "7", "--n", "128"], EXIT_CAP),
+])
+def test_gate_count_beyond_the_state_budget_refuses(argv, code):
+    # at B=256 a count up to n=128 outgrows the frontier state budget within
+    # about a second; the gate gives up there instead of finishing the DP
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgspectra.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert "n=128" in proc.stderr and "100000 frontier states" in proc.stderr
+
+
 def test_variance_mc_row_fields(tmp_path):
     out = tmp_path / "mc.csv"
     assert main(["variance", "mc", "--p", "3", "--r", "1", "--n", "0",
@@ -395,21 +413,20 @@ def test_report_table_reference_row_longer_than_header_exits_config(tmp_path, ca
     (["variance", "diagonal", "--p", "3", "--r", "2"], 12),
 ])
 def test_one_engine_pass_per_command(argv, size, monkeypatch):
-    # one engine call per row, sized at the largest index the mirror leaves,
-    # however many indices the row holds; report table runs three rows of
-    # the one frontier pass: the census it prints, the variance and the
-    # oracle gate
-    from qgspectra import classify, cli
+    # one engine call per command, sized at the largest index the mirror
+    # leaves, however many indices the row holds; the census, the variance
+    # pass and the oracle gate all run the one frontier loop
+    from qgspectra import classify, cli, orbits
 
     calls = []
-    for module, name in ((classify, "_frontier_pass"), (cli, "_frontier_pass"),
-                         (cli, "pseudo_orbit_counts")):
+    for module, name in ((orbits, "_frontier_pass"), (classify, "_frontier_pass"),
+                         (cli, "_frontier_pass"), (cli, "pseudo_orbit_counts")):
         engine = getattr(module, name)
         monkeypatch.setattr(
             module, name, lambda *a, engine=engine: calls.append(a[1]) or engine(*a)
         )
     assert main(argv) == EXIT_OK
-    assert calls == [size] * (3 if argv[0] == "report" else 1)
+    assert calls == [size]
 
 
 def test_report_table_mc_divergence_exit(tmp_path):

@@ -121,18 +121,35 @@ def test_admissible_subsets_match_bruteforce(small_graphs):
             assert list(admissible_subsets(graph, n)) == expected, (graph, n)
 
 
-def test_admissible_subsets_match_census_counts(small_graphs, family_graphs):
-    """The frontier pass counts, at every n, the balanced subsets the search
-    finds (y_bits = 0) and the pseudo orbits a dump returns (y_bits = 1).
-    The subset counts are mirror-symmetric, as the oracle gate assumes."""
-    for graph in [*small_graphs, *family_graphs]:
-        B = graph.num_bonds
-        subsets = orbits._frontier_pass(graph, B, 0)
-        orbit_counts = orbits._frontier_pass(graph, B, 1)
-        assert subsets == subsets[::-1], graph
-        for n in range(B + 1):
-            assert len(list(admissible_subsets(graph, n))) == subsets[n], (graph, n)
-            assert len(enumerate_pseudo_orbits(graph, n)) == orbit_counts[n], (graph, n)
+def _check_frontier_rows(graph, n_max):
+    """The frontier pass counts, at every n <= n_max, the balanced subsets
+    the search finds (y_bits = 0) and the pseudo orbits a dump returns
+    (y_bits = 1).  The subset counts are mirror-symmetric, as the oracle
+    gate assumes."""
+    B = graph.num_bonds
+    subsets = orbits._frontier_pass(graph, B, 0)
+    orbit_counts = orbits._frontier_pass(graph, B, 1)
+    assert subsets == subsets[::-1], graph
+    for n in range(n_max + 1):
+        assert len(list(admissible_subsets(graph, n))) == subsets[n], (graph, n)
+        assert len(enumerate_pseudo_orbits(graph, n)) == orbit_counts[n], (graph, n)
+
+
+def test_admissible_subsets_match_census_counts(small_graphs, debruijn16):
+    # debruijn16 up to its midpoint only: beyond it a dump holds up to 2^16
+    # pseudo orbits, about thirty times the cost of the rows up to n = 16
+    for graph, n_max in [(g, g.num_bonds) for g in small_graphs] + [(debruijn16, 16)]:
+        _check_frontier_rows(graph, n_max)
+
+
+def test_frontier_rows_match_search_on_graph_family(family_graph):
+    _check_frontier_rows(family_graph, family_graph.num_bonds)
+
+
+def test_frontier_pass_gives_up_beyond_its_state_budget(debruijn16):
+    assert orbits._frontier_pass(debruijn16, 16, 0, 10) is None
+    assert orbits._frontier_pass(debruijn16, 16, 0, 10**6) == orbits._frontier_pass(
+        debruijn16, 16, 0)
 
 
 def test_vertex_steps_built_once_per_graph():
