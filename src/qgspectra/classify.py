@@ -30,6 +30,7 @@ orbits themselves are the output: JSONL dumps and partner sums.
 from __future__ import annotations
 
 import json
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,7 +64,7 @@ def classify_pseudo_orbit(graph: DirectedGraph, pseudo_orbit: PseudoOrbit) -> Or
     zero total weight and are excluded.  A passage through a vertex is a
     bond entering it, counted with multiplicity.
     """
-    bonds = pseudo_orbit.bonds
+    bonds = [b for orbit in pseudo_orbit.orbits for b in orbit]
     if len(set(bonds)) < len(bonds):
         return OrbitClass("excluded", None, "repeated bond")
     visits = Counter([graph.bonds[b][1] for b in bonds]).values()
@@ -180,6 +181,11 @@ def exact_variance(graph: DirectedGraph, n: int) -> Fraction:
     return variance_row(graph, min(n, graph.num_bonds - n))[-1]
 
 
+# the last partner group c_gamma verified: its members in order, their
+# common bond list, and sum of weight_sign / 2^n over them
+_verified_group: tuple[tuple[PseudoOrbit, ...], list[int], Fraction] = ((), [], Fraction(0))
+
+
 def c_gamma(
     graph: DirectedGraph, pseudo_orbit: PseudoOrbit, partners: Iterable[PseudoOrbit]
 ) -> Fraction:
@@ -188,16 +194,32 @@ def c_gamma(
     C = sum over partners gamma' of (-1)^(m+m') A A'; the caller supplies
     the partner set (all pseudo orbits sharing the bond multiset,
     including the pseudo orbit itself).  Equals 2^(N-n) for bond-distinct
-    pseudo orbits and 0 for repeated-bond ones.  Each partner is checked
-    against the pseudo orbit by its :attr:`PseudoOrbit.bonds`.
+    pseudo orbits and 0 for repeated-bond ones.  Every partner, and the
+    pseudo orbit, must share one :attr:`PseudoOrbit.bonds` list.
+
+    A partner group is verified once: the last one checked is kept, and a
+    call whose partners are the same objects in the same order reuses its
+    bond list and sum.  A caller that passes one group for each of its
+    members, as a cancellation audit does, so sorts each partner's bonds
+    once instead of once per member; a caller that passes each group once
+    neither gains nor loses.  Any other partners, a list changed in place
+    or a generator included, are checked in full.
     """
-    reference = pseudo_orbit.bonds
-    total = 0
-    for partner in partners:
-        if partner.bonds != reference:
+    global _verified_group
+    group = tuple(partners)
+    if not group:
+        return Fraction(0)
+    members, bonds, total = _verified_group
+    if len(group) != len(members) or not all(map(operator.is_, group, members)):
+        bonds = group[0].bonds
+        if any(partner.bonds != bonds for partner in group[1:]):
             raise ValueError("partner set contains a different bond multiset")
-        total += partner.weight_sign
-    return Fraction(pseudo_orbit.weight_sign * total, 2 ** len(reference))
+        total = Fraction(sum(partner.weight_sign for partner in group), 2 ** len(bonds))
+        _verified_group = (group, bonds, total)
+    if not any(partner is pseudo_orbit for partner in group) and pseudo_orbit.bonds != bonds:
+        raise ValueError("partner set contains a different bond multiset")
+    sign = pseudo_orbit.weight_sign
+    return total if sign == 1 else -total if sign == -1 else sign * total
 
 
 def diagonal_approximation(graph: DirectedGraph, n: int) -> Fraction:

@@ -85,14 +85,50 @@ def _normalize_content(content) -> Counter:
     return counts
 
 
+def _fitting_lyndon_words(supply: tuple[int, ...]) -> tuple[list[Word], list[tuple[int, ...]]]:
+    """The Lyndon words using letter a at most supply[a - 1] times, in
+    lexicographic order, with their per-letter counts.
+
+    Depth-first over prenecklaces (prefixes of Lyndon words), the
+    Fredricksen-Kessler-Maiorana tree: a prefix with longest Lyndon prefix
+    of length p extends by a letter equal to the one p places back
+    (keeping p) or larger (making the whole prefix Lyndon).  A prefix is a
+    Lyndon word when p is its length.  Letters run out along a branch, so
+    only words that fit are generated, in preorder, which is lexicographic.
+    """
+    alphabet = len(supply)
+    left = list(supply)
+    word: list[int] = []
+    words: list[Word] = []
+    needs: list[tuple[int, ...]] = []
+
+    def extend(period: int) -> None:
+        if word and len(word) == period:
+            words.append(tuple(word))
+            needs.append(tuple(map(operator.sub, supply, left)))
+        t = len(word)
+        low = word[t - period] if word else 1
+        for a in range(low, alphabet + 1):
+            if left[a - 1]:
+                left[a - 1] -= 1
+                word.append(a)
+                extend(period if t and a == low else t + 1)
+                word.pop()
+                left[a - 1] += 1
+
+    extend(0)
+    return words, needs
+
+
 def lyndon_tuples(content) -> list[LyndonTuple]:
     """All Lyndon tuples whose words jointly use exactly the multiset
     ``content`` (a mapping letter -> count, or an iterable of letters).
 
-    Every word is held as a vector of per-letter counts, built once.  A
-    Lyndon word begins with its smallest letter and the search takes words
-    in lexicographic order, so the smallest letter left must be covered by
-    the next word chosen: the search only tries the words that begin with it.
+    The candidate words are the Lyndon words that fit the content, each
+    held with its vector of per-letter counts.  A Lyndon word begins with
+    its smallest letter and the search takes words in lexicographic order,
+    so the smallest letter left must be covered by the next word chosen:
+    the search only tries the words that begin with it.
     """
     counts = _normalize_content(content)
     if not counts:
@@ -100,15 +136,7 @@ def lyndon_tuples(content) -> list[LyndonTuple]:
     total = sum(counts.values())
     alphabet = max(counts)
     supply = tuple(counts[a] for a in range(1, alphabet + 1))
-    candidates: list[Word] = []
-    needs: list[tuple[int, ...]] = []
-    for w in lyndon_words(alphabet, total):
-        need = [0] * alphabet
-        for a in w:
-            need[a - 1] += 1
-        if all(map(operator.le, need, supply)):
-            candidates.append(w)
-            needs.append(tuple(need))
+    candidates, needs = _fitting_lyndon_words(supply)
     # candidates[first[a]:first[a + 1]] are the words that begin with letter a
     first = [bisect.bisect_left(candidates, (a,)) for a in range(1, alphabet + 2)]
     results: list[LyndonTuple] = []

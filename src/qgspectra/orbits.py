@@ -26,7 +26,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .graphs import DirectedGraph
 from .lyndon import is_lyndon
-from .quantize import transition_sign
 
 DEFAULT_CAP = 2_000_000
 FRONTIER_STATE_LIMIT = 100_000  # frontier states a gate's count may hold
@@ -86,10 +85,13 @@ class PseudoOrbit:
         """Every bond of every member orbit, with multiplicity, ascending.
 
         Two pseudo orbits share a bond multiset exactly when these lists
-        are equal, and a list is several times cheaper to build than
-        :meth:`bond_multiset`.  It is not cached: a cancellation audit
-        holds tens of thousands of pseudo orbits, and a stored bond list on
-        each raised its peak memory by about 12%.
+        are equal, and a list is several times cheaper to build than the
+        (bond, multiplicity) pairs.  :meth:`bond_multiset`,
+        :func:`group_by_bond_multiset` (once per pseudo orbit) and
+        ``classify.c_gamma`` (once per partner group checked) read it.  It
+        is not cached: a cancellation audit holds tens of thousands of
+        pseudo orbits, and a stored bond list on each raised its peak
+        memory by about 12%.
         """
         return sorted(itertools.chain.from_iterable(self.orbits))
 
@@ -108,22 +110,51 @@ class PseudoOrbit:
 
     def bond_multiset(self) -> tuple[tuple[int, int], ...]:
         """Sorted (bond id, multiplicity) pairs over all member orbits."""
-        counts = Counter(b for orbit in self.orbits for b in orbit)
-        return tuple(sorted(counts.items()))
+        return _multiset(self.bonds)
 
 
-def _orbit_sign(graph: DirectedGraph, orbit: Sequence[int]) -> int:
-    sign = 1
-    for i, b in enumerate(orbit):
-        sign *= transition_sign(graph, b, orbit[(i + 1) % len(orbit)])
-    return sign
+def _multiset(sorted_bonds: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """(bond id, multiplicity) pairs of an ascending bond list, in order."""
+    return tuple(Counter(sorted_bonds).items())
+
+
+# one port-flag table per graph, dropped with the graph (see _port_flags)
+_PORT_FLAGS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _port_flags(graph: DirectedGraph) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+    """Per bond: does it sit in the second in-port slot at its terminus,
+    and in the second out-port slot at its origin?
+
+    A step b -> c is negative (see ``quantize.transition_sign``) exactly
+    when b's first flag and c's second are both set.  Built once per graph
+    and held like :func:`_vertex_steps`' table.
+    """
+    flags = _PORT_FLAGS.get(graph)
+    if flags is None:
+        flags = _PORT_FLAGS[graph] = (
+            tuple(graph.in_bonds[w].index(b) == 1 for b, (_, w) in enumerate(graph.bonds)),
+            tuple(graph.out_bonds[u].index(b) == 1 for b, (u, _) in enumerate(graph.bonds)),
+        )
+    return flags
+
+
+def _orbit_signs(graph: DirectedGraph, orbits: Iterable[Sequence[int]]) -> list[int]:
+    """The product of the transition signs around each closed walk."""
+    second_in, second_out = _port_flags(graph)
+    signs = []
+    for orbit in orbits:
+        negative = sum(second_in[b] and second_out[c]
+                       for b, c in zip(orbit, itertools.chain(orbit[1:], orbit[:1])))
+        signs.append(-1 if negative % 2 else 1)
+    return signs
 
 
 def _signed(graph: DirectedGraph, cycles: list[tuple[int, ...]]) -> PseudoOrbit:
     """The pseudo orbit of distinct canonical primitive cycles, sorted in
     place, with the product of their transition signs."""
     cycles.sort()
-    return PseudoOrbit(tuple(cycles), math.prod(_orbit_sign(graph, c) for c in cycles))
+    return PseudoOrbit(tuple(cycles), math.prod(_orbit_signs(graph, cycles)))
 
 
 def make_pseudo_orbit(
@@ -411,6 +442,8 @@ def primitive_orbits(
     """All primitive periodic orbits of length <= max_len, canonical and
     sorted by (length, bonds); repeated bonds within a walk are allowed.
     Each is found once, as the Lyndon walk from its minimal bond."""
+    if cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
     followers = [graph.out_bonds[v] for _, v in graph.bonds]
     found: list[tuple[int, ...]] = []
     steps = 0
@@ -456,6 +489,8 @@ def enumerate_pseudo_orbits(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
     if mode == "bond_distinct":
         row = _frontier_pass(graph, n, 1, FRONTIER_STATE_LIMIT)
         if row is None:
@@ -469,7 +504,7 @@ def enumerate_pseudo_orbits(
         return sorted(out, key=lambda po: po.orbits)
     if mode == "general":
         pool = primitive_orbits(graph, n, cap=cap)
-        sign_of = {orbit: _orbit_sign(graph, orbit) for orbit in pool}
+        sign_of = dict(zip(pool, _orbit_signs(graph, pool)))
         results: list[PseudoOrbit] = []
         chosen: list[tuple[int, ...]] = []
 
@@ -482,8 +517,11 @@ def enumerate_pseudo_orbits(
                 orbit = pool[j]
                 if len(orbit) > remaining:
                     break  # pool is sorted by length
+                left = remaining - len(orbit)
+                if 0 < left < len(orbit):
+                    continue  # every later orbit is at least as long
                 chosen.append(orbit)
-                combine(j + 1, remaining - len(orbit))
+                combine(j + 1, left)
                 chosen.pop()
 
         combine(0, n)
@@ -498,9 +536,11 @@ def group_by_bond_multiset(
 
     With incommensurate bond lengths, pseudo orbits contribute coherently
     to variance sums exactly when their bond multisets coincide, so these
-    groups are the partner classes.
+    groups are the partner classes.  Pseudo orbits are grouped by their
+    ascending bond tuple, and each group's (bond, multiplicity) key is
+    built once.
     """
-    groups: dict[tuple[tuple[int, int], ...], list[PseudoOrbit]] = {}
+    groups: dict[tuple[int, ...], list[PseudoOrbit]] = {}
     for po in pseudo_orbits:
-        groups.setdefault(po.bond_multiset(), []).append(po)
-    return groups
+        groups.setdefault(tuple(po.bonds), []).append(po)
+    return {_multiset(bonds): members for bonds, members in groups.items()}

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from qgspectra.classify import (
 from qgspectra.graphs import DirectedGraph
 from qgspectra.orbits import (
     PseudoOrbit,
+    covers_of_subset,
     enumerate_pseudo_orbits,
     group_by_bond_multiset,
     make_pseudo_orbit,
@@ -235,8 +237,6 @@ def test_variance_pass_pinned_rows():
 
 
 def test_c_gamma_cover_pair(binary6):
-    from qgspectra.orbits import covers_of_subset
-
     family = covers_of_subset(binary6, (0, 1, 3, 6))
     for po in family.covers:
         assert q.c_gamma(binary6, po, family.covers) == Fraction(1, 8)
@@ -267,28 +267,67 @@ def test_c_gamma_of_a_lone_pseudo_orbit(binary6):
         assert q.c_gamma(binary6, po, [po]) == Fraction(po.weight_sign**2, 2**po.total_bonds)
 
 
-def test_c_gamma_over_every_general_pseudo_orbit(debruijn8):
-    """Pinned partner sums at n = 8 on B = 16: 0 for each repeated-bond
-    pseudo orbit, 2^(N-n) for the rest, with N from the classification."""
-    n = 8
-    pos = enumerate_pseudo_orbits(debruijn8, n, mode="general")
-    groups = group_by_bond_multiset(pos)
-    assert (len(pos), len(groups)) == (128, 62)
-    assert len({tuple(sorted(b for orbit in po.orbits for b in orbit)) for po in pos}) == 62
-    repeated = 0
-    total = Fraction(0)
-    for group in groups.values():
-        for po in group:
-            c = q.c_gamma(debruijn8, po, group)
-            tag = classify_pseudo_orbit(debruijn8, po)
-            if any(m > 1 for _bond, m in po.bond_multiset()):
-                repeated += 1
-                assert (c, tag.kind) == (0, "excluded")
-            else:
-                assert c == Fraction(2**tag.encounters, 2**n)
-            total += c
-    assert repeated == 72
-    assert total == exact_variance(debruijn8, n) == Fraction(9, 16)
+def test_c_gamma_over_every_general_pseudo_orbit(debruijn8, debruijn16):
+    """Pinned partner sums at n = 8 on B = 16, and at n = 16 on B = 32 (the
+    size of the benchmark's audit): 0 for each repeated-bond pseudo orbit,
+    2^(N-n) for the rest, with N from the classification; the classes
+    match the general-mode census."""
+    cases = (
+        (debruijn8, 8, 128, 62, {"P0": 16, "PhatN": 40, "excluded": 72}, Fraction(9, 16)),
+        (debruijn16, 16, 32768, 6218, {"P0": 256, "PhatN": 3648, "excluded": 28864},
+         Fraction(145, 256)),
+    )
+    for graph, n, pseudo_orbits, partner_groups, classes, variance in cases:
+        pos = enumerate_pseudo_orbits(graph, n, mode="general")
+        groups = group_by_bond_multiset(pos)
+        assert (len(pos), len(groups)) == (pseudo_orbits, partner_groups)
+        assert len({tuple(sorted(b for orbit in po.orbits for b in orbit))
+                    for po in pos}) == partner_groups
+        kinds = Counter()
+        total = Fraction(0)
+        for group in groups.values():
+            for po in group:
+                c = q.c_gamma(graph, po, group)
+                tag = classify_pseudo_orbit(graph, po)
+                kinds[tag.kind] += 1
+                if any(m > 1 for _bond, m in po.bond_multiset()):
+                    assert (c, tag.kind) == (0, "excluded")
+                else:
+                    assert c == Fraction(2**tag.encounters, 2**n)
+                total += c
+        assert kinds == classes
+        census = class_counts(graph, n, mode="general")
+        assert (census.p0, census.phat_total(), census.excluded) == tuple(classes.values())
+        assert total == exact_variance(graph, n) == variance
+
+
+def test_c_gamma_rechecks_a_changed_group(binary6):
+    """A group verified once is reused only for the same partner objects in
+    the same order: anything else is checked in full, right after a call
+    that reused the verified group, too."""
+    family = covers_of_subset(binary6, (0, 1, 3, 6))
+    group = list(family.covers)
+    a, b = group
+    foreign = make_pseudo_orbit(binary6, [(11,)])
+    assert q.c_gamma(binary6, a, group) == q.c_gamma(binary6, b, group) == Fraction(1, 8)
+    group[1] = foreign  # replaced in place
+    with pytest.raises(ValueError, match="different bond multiset"):
+        q.c_gamma(binary6, a, group)
+    # a generator of the partners gives the list's value
+    group = list(family.covers)
+    assert q.c_gamma(binary6, a, group) == Fraction(1, 8)
+    assert q.c_gamma(binary6, a, (po for po in family.covers)) == Fraction(1, 8)
+    assert q.c_gamma(binary6, a, iter(group)) == Fraction(1, 8)
+    # an outsider with the group's bond multiset gets the group's value
+    twin = PseudoOrbit(orbits=a.orbits, amp_sign=-a.amp_sign)
+    assert twin is not a and twin.bonds == a.bonds
+    assert q.c_gamma(binary6, twin, group) == Fraction(-1, 8)
+    assert q.c_gamma(binary6, b, [a]) == Fraction(1, 16)
+    # an outsider with another multiset raises, right after a reuse too
+    assert q.c_gamma(binary6, b, group) == Fraction(1, 8)
+    with pytest.raises(ValueError, match="different bond multiset"):
+        q.c_gamma(binary6, foreign, group)
+    assert q.c_gamma(binary6, foreign, []) == 0
 
 
 def test_c_gamma_cancellation_at_n5(binary6):

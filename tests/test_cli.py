@@ -497,6 +497,15 @@ def test_cap_exit(mode):
                  "--mode", mode, "--cap", "10"]) == EXIT_CAP
 
 
+@pytest.mark.parametrize("mode", ["general", "bond_distinct"])
+def test_negative_cap_is_bad_input(mode, capsys):
+    argv = ["orbits", "enumerate", "--p", "1", "--r", "3", "--n", "4", "--mode", mode]
+    assert main(argv + ["--cap", "-1"]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: cap must be nonnegative, got -1\n"
+    assert main(argv + ["--cap", "0"]) == EXIT_CAP
+
+
 def test_module_entry_point_help():
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -66,6 +67,32 @@ def test_primitive_orbits_smallest(debruijn8):
 def test_primitive_orbits_cap(debruijn8):
     with pytest.raises(EnumerationCapExceeded):
         primitive_orbits(debruijn8, 8, cap=10)
+    with pytest.raises(EnumerationCapExceeded):
+        primitive_orbits(debruijn8, 8, cap=0)
+    with pytest.raises(ValueError, match="cap must be nonnegative"):
+        primitive_orbits(debruijn8, 8, cap=-1)
+
+
+def _check_orbit_signs(graph):
+    """The port-flag signs of every primitive orbit of length <= 8 equal
+    the product of transition_sign around it."""
+    pool = primitive_orbits(graph, 8)
+    expected = [math.prod(q.transition_sign(graph, b, orbit[(i + 1) % len(orbit)])
+                          for i, b in enumerate(orbit)) for orbit in pool]
+    assert orbits._orbit_signs(graph, pool) == expected, graph
+    return expected
+
+
+def test_orbit_signs_match_transition_signs(small_graphs):
+    # the last graph has three bonds into and out of its one vertex, so a
+    # bond in the third port slot is not flagged
+    three_in = q.DirectedGraph(1, ((0, 0),) * 3)
+    for graph in [*small_graphs, three_in]:
+        assert -1 in _check_orbit_signs(graph)
+
+
+def test_orbit_signs_match_transition_signs_on_graph_family(family_graph):
+    _check_orbit_signs(family_graph)
 
 
 def test_make_pseudo_orbit_canonicalizes(debruijn8):
@@ -164,14 +191,16 @@ def test_vertex_steps_built_once_per_graph():
 
 def test_vertex_steps_die_with_their_graph():
     gc.collect()
-    before = len(orbits._STEP_TABLES)
-    # a graph no other test builds, so that its entry is its own
+    tables = (orbits._STEP_TABLES, orbits._PORT_FLAGS)
+    before = [len(table) for table in tables]
+    # a graph no other test builds, so that its entries are its own
     graph = q.orient_four_regular([(0, 1), (0, 1), (1, 2), (1, 2), (2, 0), (2, 0)])
     orbits._vertex_steps(graph)
-    assert len(orbits._STEP_TABLES) == before + 1
+    orbits._orbit_signs(graph, [(0, 2)])
+    assert [len(table) for table in tables] == [n + 1 for n in before]
     del graph
     gc.collect()
-    assert len(orbits._STEP_TABLES) == before
+    assert [len(table) for table in tables] == before
 
 
 def test_admissible_subsets_rejects_bad_n(binary6):
@@ -262,6 +291,9 @@ def test_enumerate_rejects_bad_args(binary6):
         enumerate_pseudo_orbits(binary6, -1)
     with pytest.raises(ValueError):
         enumerate_pseudo_orbits(binary6, 3, mode="something")
+    for mode in ("general", "bond_distinct"):
+        with pytest.raises(ValueError, match="cap must be nonnegative"):
+            enumerate_pseudo_orbits(binary6, 3, mode=mode, cap=-1)
 
 
 @pytest.mark.parametrize("mode", ["general", "bond_distinct"])
@@ -290,7 +322,22 @@ def test_group_by_bond_multiset(binary6, debruijn8):
     groups = group_by_bond_multiset(pos)
     assert len(groups) == 62
     assert any(m > 1 for key in groups for _bond, m in key)
-    assert groups == reference
+    assert list(groups.items()) == list(reference.items())
+
+
+def test_group_by_bond_multiset_matches_multiset_reference(family_graph):
+    """Keys, key order and members equal those of groups keyed by a
+    Counter of each pseudo orbit's bonds, for general-mode sets up to n = 8
+    in their sorted order and reversed."""
+    for n in range(9):
+        pos = enumerate_pseudo_orbits(family_graph, n, mode="general")
+        for ordered in (pos, pos[::-1]):
+            reference: dict = {}
+            for po in ordered:
+                key = tuple(sorted(Counter(b for orbit in po.orbits for b in orbit).items()))
+                assert po.bond_multiset() == key
+                reference.setdefault(key, []).append(po)
+            assert list(group_by_bond_multiset(ordered).items()) == list(reference.items())
 
 
 def test_default_cap_value():
