@@ -5,8 +5,8 @@ mismatch, 3 mismatch against a supplied reference table, 4 Monte Carlo
 estimate outside tolerance, 5 enumeration cap exceeded (``orbits enumerate``
 only, whose ``--cap`` bounds the pseudo orbits written; every count and
 variance is computed without enumeration).  The oracle runs at n only where
-it evaluates at most ``SUBSET_LIMIT`` balanced minors; a counting pass,
-itself bounded by ``FRONTIER_STATE_LIMIT``, decides before any is evaluated.
+it evaluates at most ``SUBSET_LIMIT`` balanced minors, counted first.  Every
+count is one frontier pass; past that pass's budget the command exits 1.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ from .graphs import (
     save_graph,
     validate_graph,
 )
-from .orbits import (DEFAULT_CAP, FRONTIER_STATE_LIMIT, EnumerationCapExceeded, _frontier_pass,
-                     enumerate_pseudo_orbits)
+from .orbits import DEFAULT_CAP, EnumerationCapExceeded, _frontier_pass, enumerate_pseudo_orbits
 from .quantize import BondLengths, build_bond_scattering, sample_bond_lengths
 from .spectral import DEFAULT_K_MAX, mc_variance, minor_sum_variance
 
@@ -209,10 +208,11 @@ def cmd_orbits_classify(args) -> int:
 
 def _mirrored(graph: DirectedGraph, ns: list[int], row_of):
     """``row_of(m)`` read at each n, from one call sized at the largest
-    index m the mirror n -> B - n leaves; None if that call gives None."""
+    index m the mirror n -> B - n leaves (the complement of a balanced
+    subset is balanced, so the variance and the minor counts mirror)."""
     B = graph.num_bonds
     row = row_of(max(min(n, B - n) for n in ns))
-    return None if row is None else [row[min(n, B - n)] for n in ns]
+    return [row[min(n, B - n)] for n in ns]
 
 
 def cmd_variance_exact(args) -> int:
@@ -224,20 +224,10 @@ def cmd_variance_exact(args) -> int:
     return EXIT_OK
 
 
-def _minor_counts(graph: DirectedGraph, ns: list[int]) -> list[int] | None:
-    """The balanced minors the oracle evaluates at each n (the complement of
-    a balanced subset is balanced); None past ``FRONTIER_STATE_LIMIT``."""
-    return _mirrored(graph, ns, lambda m: _frontier_pass(graph, m, 0, FRONTIER_STATE_LIMIT))
-
-
 def cmd_variance_oracle(args) -> int:
     graph, _ = _resolve_graph(args)
     ns = _index_range(args, graph.num_bonds)
-    minors = _minor_counts(graph, ns)
-    if minors is None:
-        raise ValueError(f"counting the oracle's balanced minors up to n={ns[-1]} needs "
-                         f"more than {FRONTIER_STATE_LIMIT} frontier states")
-    for n, count in zip(ns, minors):
+    for n, count in zip(ns, _mirrored(graph, ns, lambda m: _frontier_pass(graph, m, 0))):
         if count > SUBSET_LIMIT:
             raise ValueError(f"the oracle at n={n} would evaluate {count} balanced minors, "
                              f"above the limit of {SUBSET_LIMIT}")
@@ -254,7 +244,7 @@ def _cross_check(args, graph: DirectedGraph, lengths, census: bool = False):
     estimate)`` row per n.  A census, if asked for, also gives the exact
     and minor counts; it is None above B/2, where the mirror n -> B - n
     gives the exact value.  The oracle is None past ``SUBSET_LIMIT``
-    balanced minors, or everywhere if counting them fails.
+    balanced minors.
     """
     B = graph.num_bonds
     ns = _index_range(args, B)
@@ -268,7 +258,7 @@ def _cross_check(args, graph: DirectedGraph, lengths, census: bool = False):
     else:
         counts = [None] * len(ns)
         exact = _mirrored(graph, ns, lambda m: variance_row(graph, m))
-        minors = _minor_counts(graph, ns) or [math.inf] * len(ns)
+        minors = _mirrored(graph, ns, lambda m: _frontier_pass(graph, m, 0))
     t1 = time.perf_counter()
     oracle = [
         minor_sum_variance(S, n) if count <= SUBSET_LIMIT else None

@@ -28,11 +28,16 @@ from .graphs import DirectedGraph
 from .lyndon import is_lyndon
 
 DEFAULT_CAP = 2_000_000
-FRONTIER_STATE_LIMIT = 100_000  # frontier states a gate's count may hold
+FRONTIER_STATE_LIMIT = 100_000  # frontier states any counting pass may hold
+FRONTIER_BIT_LIMIT = 2**34  # and bits of their packed polynomials
 
 
 class EnumerationCapExceeded(RuntimeError):
     """Raised when pseudo-orbit enumeration would exceed its step budget."""
+
+
+class FrontierBudgetExceeded(ValueError):
+    """Raised when a frontier pass would hold more states than its budget."""
 
 
 def canonical_orbit(
@@ -296,13 +301,13 @@ def _balanced_subsets(graph: DirectedGraph, n: int) -> Iterator[tuple[int, ...]]
                 stack.append((i + 1, count + k, mask | chosen))
 
 
-def _frontier_pass(graph: DirectedGraph, n_max: int, y_bits: int,
-                   max_states: int | None = None) -> list[int] | None:
+def _frontier_pass(graph: DirectedGraph, n_max: int, y_bits: int) -> list[int]:
     """Sum of 2^(y_bits * N(I)) over the balanced n-bond subsets I, for
     n = 0..n_max, where N(I) counts the vertices I uses twice: y_bits = 0
     counts the subsets (the oracle's minors), 1 their cycle covers (the
-    bond-distinct pseudo orbits) and 2 gives 2^n var(n).  None, unfinished,
-    once the frontier holds more than ``max_states`` states, if given.
+    bond-distinct pseudo orbits) and 2 gives 2^n var(n).  Raises
+    FrontierBudgetExceeded past ``FRONTIER_STATE_LIMIT`` states or
+    ``FRONTIER_BIT_LIMIT`` packed bits; every y_bits holds the same states.
 
     Frontier transfer matrix over :func:`_vertex_steps`: the state is the
     set of selected open bonds (a bitmask) and carries the polynomial in x
@@ -321,6 +326,7 @@ def _frontier_pass(graph: DirectedGraph, n_max: int, y_bits: int,
                              "counting balanced subsets needs at most 2 of each")
     width = B + 1 + y_bits * (n_max // 2)
     keep = (1 << (width * (n_max + 1))) - 1
+    limit = min(FRONTIER_STATE_LIMIT, FRONTIER_BIT_LIMIT // (width * (n_max + 1)))
     states: dict[int, int] = {0: 1}
     for closing_in, closing_out, choices, _ in _vertex_steps(graph):
         unclosed = ~(closing_in | closing_out)
@@ -335,8 +341,9 @@ def _frontier_pass(graph: DirectedGraph, n_max: int, y_bits: int,
                 if term:
                     key = base | opened
                     step[key] = step.get(key, 0) + term
-            if max_states is not None and len(step) > max_states:
-                return None
+            if len(step) > limit:
+                raise FrontierBudgetExceeded(f"the frontier pass up to n={n_max} needs more "
+                                             f"than {limit} frontier states")
         states = step
     total = states.get(0, 0)
     digit = (1 << width) - 1
@@ -482,7 +489,7 @@ def enumerate_pseudo_orbits(
     ``bond_distinct`` unions the cycle covers of all balanced n-subsets,
     found by a search whose cost follows their number.  Before building
     any, it refuses more than ``cap`` of them, or a count by
-    :func:`_frontier_pass` past ``FRONTIER_STATE_LIMIT`` frontier states.
+    :func:`_frontier_pass` past its budget.
     ``general`` combines arbitrary distinct primitive orbits of total
     length n and is a strict superset once n admits repeated bonds; its
     orbit search takes at most ``cap`` steps.
@@ -492,10 +499,10 @@ def enumerate_pseudo_orbits(
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     if mode == "bond_distinct":
-        row = _frontier_pass(graph, n, 1, FRONTIER_STATE_LIMIT)
-        if row is None:
-            raise EnumerationCapExceeded(f"counting the pseudo orbits at n={n} needs more "
-                                         f"than {FRONTIER_STATE_LIMIT} frontier states")
+        try:
+            row = _frontier_pass(graph, n, 1)
+        except FrontierBudgetExceeded as exc:
+            raise EnumerationCapExceeded(str(exc)) from exc
         if row[n] > cap:
             raise EnumerationCapExceeded(f"{row[n]} pseudo orbits at n={n} exceed the cap {cap}")
         out: list[PseudoOrbit] = []

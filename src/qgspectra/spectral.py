@@ -13,6 +13,7 @@ balanced subsets rather than binomial(B, n).
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
@@ -211,11 +212,11 @@ def mc_variance(
     batch draws its own slice of that one stream (see ``_k_slice``), so
     memory does not grow with ``samples``.  Per-batch partial sums are
     reduced in batch order, so results are bit-identical for a given
-    (samples, seed, k_max, batch_size) regardless of thread count.  The
-    default batch holds about 2^20 matrix entries.  Eigenvalues come from
-    the Hermitian Cayley transform of U(k) (``_unitary_eigenvalues``), not
-    the general ``eigvals``; eigenvalue failures of individual batches
-    propagate.
+    (samples, seed, k_max, batch_size) regardless of thread count, which
+    is capped at the batch count and the usable CPUs.  The default batch
+    holds about 2^20 matrix entries.  Eigenvalues come from the Hermitian
+    Cayley transform of U(k) (``_unitary_eigenvalues``), not the general
+    ``eigvals``; eigenvalue failures of individual batches propagate.
 
     ``std_error`` covers sampling noise only.  A finite ``k_max`` leaves a
     bias on top of it that depends on the bond lengths and can reach
@@ -257,7 +258,8 @@ def mc_variance(
         power = np.abs(_coefficients_from_eigenvalues(eigenvalues)) ** 2
         return power.sum(axis=0), (power * power).sum(axis=0)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(max_workers=min(threads, len(starts), cpus or 1)) as pool:
         partials = list(pool.map(run_batch, starts))
 
     total = np.zeros(B + 1)

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -84,3 +88,29 @@ def small_graphs(binary6, debruijn8):
     with a self-loop and a pair of parallel bonds: small enough (B <= 16)
     to check against a walk over every bond subset."""
     return [binary6, debruijn8, seeded_four_regular(5), seeded_four_regular(6)]
+
+
+# runs the CLI with its arguments after capping the child's own address space
+_CAPPED_CHILD = (
+    "import resource, runpy, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "sys.argv = ['qgspectra', *sys.argv[1:]]\n"
+    "runpy.run_module('qgspectra.cli', run_name='__main__')\n"
+)
+
+
+@pytest.fixture(scope="session")
+def capped_cli():
+    """Run ``qgspectra <argv>`` in a child process capped at a 1 GB address
+    space, with one BLAS thread: an unbounded allocation ends there in
+    seconds, not by filling the host."""
+    if sys.platform != "linux":
+        pytest.skip("needs RLIMIT_AS")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+
+    def run(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-c", _CAPPED_CHILD, *argv],
+                              capture_output=True, text=True, timeout=60, env=env)
+
+    return run

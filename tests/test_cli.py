@@ -154,15 +154,10 @@ def test_variance_oracle_csv(tmp_path, capsys):
     assert capsys.readouterr().out == "n,oracle\n" + rows
 
 
-def test_variance_oracle_beyond_the_limit_exits_config():
+def test_variance_oracle_beyond_the_limit_exits_config(capped_cli):
     # B=128 has 2 722 650 balanced 25-bond subsets, the first count above the
     # limit; one counting pass refuses them before any minor is evaluated
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "qgspectra.cli", "variance", "oracle", "--p", "1", "--r", "6"],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
+    proc = capped_cli("variance", "oracle", "--p", "1", "--r", "6")
     assert proc.returncode == EXIT_CONFIG
     assert proc.stdout == ""
     assert "n=25" in proc.stderr and "2000000" in proc.stderr
@@ -171,19 +166,21 @@ def test_variance_oracle_beyond_the_limit_exits_config():
 @pytest.mark.parametrize("argv, code", [
     (["variance", "oracle", "--p", "1", "--r", "7"], EXIT_CONFIG),
     (["orbits", "enumerate", "--p", "1", "--r", "7", "--n", "128"], EXIT_CAP),
+    (["variance", "exact", "--p", "1", "--r", "7", "--n", "128"], EXIT_CONFIG),
+    (["variance", "mc", "--p", "1", "--r", "7", "--n", "128", "--samples", "2"], EXIT_CONFIG),
+    (["orbits", "classify", "--p", "1", "--r", "7", "--n", "128"], EXIT_CONFIG),
+    (["report", "table", "--p", "1", "--r", "7", "--n", "128", "--samples", "2"], EXIT_CONFIG),
 ])
-def test_gate_count_beyond_the_state_budget_refuses(argv, code):
-    # at B=256 a count up to n=128 outgrows the frontier state budget within
-    # about a second; the gate gives up there instead of finishing the DP
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "qgspectra.cli", *argv],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
+def test_gate_count_beyond_the_state_budget_refuses(argv, code, capped_cli):
+    # at B=256 every pass up to n=128 outgrows the frontier budget within
+    # about two seconds and refuses there instead of finishing the DP.  A
+    # census state carries 65 digits of 257 bits, so the bit budget allows
+    # 2**34 // (257 * 65 * 129) = 7972 of them
+    proc = capped_cli(*argv)
     assert proc.returncode == code
-    assert proc.stdout == ""
-    assert "n=128" in proc.stderr and "100000 frontier states" in proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    limit = 7972 if argv[1] in ("classify", "table") else 100000
+    assert "n=128" in proc.stderr and f"{limit} frontier states" in proc.stderr
 
 
 def test_variance_mc_row_fields(tmp_path):

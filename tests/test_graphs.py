@@ -1,10 +1,6 @@
 """Graph construction, validation, orientation, and file round trips."""
 
-import os
-import subprocess
-import sys
 from collections import Counter, deque
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,23 +272,12 @@ def test_read_graph_returns_the_file_as_written(tmp_path):
     assert stored == [1.5]  # not checked here: BondLengths checks lengths
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
-def test_huge_vertex_count_fails_without_allocating(tmp_path):
-    # the child caps its own address space at 1 GB, where building 10**12
-    # per-vertex lists would end in a MemoryError traceback
-    child = (
-        "import resource, runpy, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-        "sys.argv = ['qgspectra', 'graph', 'validate', '--graph-file', sys.argv[1]]\n"
-        "runpy.run_module('qgspectra.cli', run_name='__main__')\n"
-    )
+def test_huge_vertex_count_fails_without_allocating(tmp_path, capped_cli):
+    # under the child's capped address space, building 10**12 per-vertex
+    # lists would end in a MemoryError traceback
     path = tmp_path / "huge.json"
     path.write_text('{"V": 1000000000000, "bonds": []}')
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", child, str(path)], capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
-    )
+    proc = capped_cli("graph", "validate", "--graph-file", str(path))
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "V=1000000000000 exceeds B=0" in proc.stderr

@@ -173,10 +173,69 @@ def test_frontier_rows_match_search_on_graph_family(family_graph):
     _check_frontier_rows(family_graph, family_graph.num_bonds)
 
 
-def test_frontier_pass_gives_up_beyond_its_state_budget(debruijn16):
-    assert orbits._frontier_pass(debruijn16, 16, 0, 10) is None
-    assert orbits._frontier_pass(debruijn16, 16, 0, 10**6) == orbits._frontier_pass(
-        debruijn16, 16, 0)
+def _frontier_views(graph, n_max):
+    """Every view of the frontier pass at n_max: y_bits 0, 1 and 2, and the
+    census digit."""
+    return [lambda y=y: orbits._frontier_pass(graph, n_max, y) for y in (0, 1, 2)] + [
+        lambda: orbits._encounter_counts(graph, n_max)]
+
+
+def _finishes(view):
+    try:
+        view()
+    except orbits.FrontierBudgetExceeded:
+        return False
+    return True
+
+
+def _peak_states(graph, n_max, monkeypatch):
+    """The fewest states the y_bits = 0 pass finishes within, found by
+    bisecting FRONTIER_STATE_LIMIT with the bit term lifted."""
+    monkeypatch.setattr(orbits, "FRONTIER_BIT_LIMIT", 1 << 400)
+    view = _frontier_views(graph, n_max)[0]
+    low, high = 0, 1 << graph.num_bonds  # a state is a set of open bonds
+    while high - low > 1:
+        mid = (low + high) // 2
+        monkeypatch.setattr(orbits, "FRONTIER_STATE_LIMIT", mid)
+        low, high = (low, mid) if _finishes(view) else (mid, high)
+    return high
+
+
+def _check_one_fate(graph, n_max, monkeypatch):
+    """Every view holds the same states, so all of them give up one state
+    below the peak and all finish at it."""
+    peak = _peak_states(graph, n_max, monkeypatch)
+    for limit, finishes in ((peak - 1, False), (peak, True)):
+        monkeypatch.setattr(orbits, "FRONTIER_STATE_LIMIT", limit)
+        assert [_finishes(view) for view in _frontier_views(graph, n_max)] == [finishes] * 4, (
+            graph, limit)
+    return peak
+
+
+def test_every_frontier_view_shares_one_fate_on_graph_family(family_graph, monkeypatch):
+    _check_one_fate(family_graph, family_graph.num_bonds, monkeypatch)
+
+
+def test_frontier_pass_gives_up_beyond_its_state_budget(debruijn16, monkeypatch):
+    full = orbits._frontier_pass(debruijn16, 16, 0)
+    peak = _check_one_fate(debruijn16, 16, monkeypatch)
+    assert orbits._frontier_pass(debruijn16, 16, 0) == full
+    monkeypatch.setattr(orbits, "FRONTIER_STATE_LIMIT", peak - 1)
+    with pytest.raises(orbits.FrontierBudgetExceeded,
+                       match=f"n=16 needs more than {peak - 1} frontier states"):
+        orbits._frontier_pass(debruijn16, 16, 0)
+
+
+def test_only_the_bit_term_stops_the_census(debruijn16, monkeypatch):
+    # a census state carries n_max/2 + 1 = 9 digits of 33 bits here, a
+    # y_bits = 0 state one: bits for exactly the peak stop only the census
+    subsets = orbits._frontier_pass(debruijn16, 16, 0)
+    peak = _peak_states(debruijn16, 16, monkeypatch)
+    monkeypatch.setattr(orbits, "FRONTIER_STATE_LIMIT", 100_000)
+    monkeypatch.setattr(orbits, "FRONTIER_BIT_LIMIT", peak * 33 * 17)
+    assert orbits._frontier_pass(debruijn16, 16, 0) == subsets
+    with pytest.raises(orbits.FrontierBudgetExceeded, match=f"more than {peak // 9} frontier"):
+        orbits._encounter_counts(debruijn16, 16)
 
 
 def test_vertex_steps_built_once_per_graph():

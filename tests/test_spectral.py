@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -169,6 +170,35 @@ def test_mc_thread_count_invariance(scattering6, lengths6):
         scattering6, lengths6, None, samples=2048, seed=4, batch_size=256, threads=3
     )
     assert single == pooled
+
+
+def test_mc_pool_capped_by_batches_and_cpus(scattering6, lengths6, monkeypatch):
+    # a serial stand-in records the pool size, so no thread is started
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    single = mc_variance(scattering6, lengths6, None, samples=2048, seed=4, batch_size=256)
+    monkeypatch.setattr(spectral, "ThreadPoolExecutor", SerialPool)
+    huge = mc_variance(
+        scattering6, lengths6, None, samples=2048, seed=4, batch_size=256, threads=10**6
+    )
+    assert huge == single
+    two = mc_variance(scattering6, lengths6, [2], samples=600, seed=4, batch_size=300, threads=3)
+    assert two == mc_variance(scattering6, lengths6, [2], samples=600, seed=4, batch_size=300)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert sizes[0] == min(8, cpus) and sizes[1] == min(2, cpus)
 
 
 def test_mc_default_index_set(scattering6, lengths6):
