@@ -18,13 +18,12 @@ exactly 2^N of them.  One frontier transfer matrix (``orbits._frontier_pass``)
 sums x^n y^N over the balanced subsets, in exact integers, and builds no
 pseudo orbit.  It runs as one of two passes: the census pass counts the
 subsets by (n, N); the variance pass fixes y = 4, so that the coefficient
-of x^n is 2^n var(n) and no N digit is carried.
-The number |P^n| of all primitive pseudo orbits, repeated bonds
-included, is a power-series coefficient of det(I - x^2 A) / det(I - xA);
-it gives the general-mode census and the diagonal approximation.  Each
-pass, and the series, yields every n <= n_max at once; the per-n
-functions are views of one row.  Enumeration remains where the pseudo
-orbits themselves are the output: JSONL dumps and partner sums.
+of x^n is 2^n var(n) and no N digit is carried.  Either pass answers any
+index list at once, reading n > B/2 through the mirror n -> B - n; every
+row and per-n function is a view of one pass.  The number |P^n| of all
+primitive pseudo orbits, repeated bonds included, is [x^n] of
+det(I - x^2 A) / det(I - xA); it gives the general-mode census and the
+diagonal approximation.  Only JSONL dumps and partner sums enumerate.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 from .graphs import DirectedGraph
 from .orbits import PseudoOrbit, _encounter_counts, _frontier_pass
@@ -96,30 +95,35 @@ def class_census(
     """Count P0 / PhatN / excluded pseudo orbits of each length n <= n_max.
 
     ``bond_distinct`` counts balanced n-bond subsets by encounter number
-    N in one transfer-matrix run truncated at n_max; each carries 2^N
-    pseudo orbits (its cycle covers).  ``general`` adds the pseudo orbits
-    with a repeated bond as ``excluded`` = |P^n| - p0 - sum_N phat_N, with
-    |P^n| from :func:`pseudo_orbit_counts`; above n = B every pseudo orbit
-    repeats a bond.
+    N in one transfer-matrix pass; each carries 2^N pseudo orbits (its
+    cycle covers).  ``general`` adds the pseudo orbits with a repeated
+    bond as ``excluded`` = |P^n| - p0 - sum_N phat_N, with |P^n| from
+    :func:`pseudo_orbit_counts`; above n = B every pseudo orbit repeats a
+    bond.
     """
+    return _census_at(graph, range(n_max + 1), mode)
+
+
+def class_counts(graph: DirectedGraph, n: int, mode: str = "bond_distinct") -> ClassCounts:
+    """The census of total length n alone, as :func:`class_census` counts it."""
+    return _census_at(graph, [n], mode)[0]
+
+
+def _census_at(graph: DirectedGraph, ns: Sequence[int], mode: str) -> list[ClassCounts]:
+    """:func:`class_census` at each n in ``ns``, from at most one pass."""
     if mode not in ("bond_distinct", "general"):
         raise ValueError(f"unknown mode {mode!r}")
-    totals = pseudo_orbit_counts(graph, n_max) if mode == "general" else None
-    rows = _encounter_counts(graph, n_max if totals is None else min(n_max, graph.num_bonds))
+    totals = pseudo_orbit_counts(graph, max(ns, default=-1)) if mode == "general" else None
+    # every pseudo orbit above n = B repeats a bond: general mode counts no subsets there
+    counted = ns if totals is None else [n for n in ns if n <= graph.num_bonds]
+    rows = dict(zip(counted, _encounter_counts(graph, counted))) if counted or not ns else {}
     census = []
-    for n in range(n_max + 1):
-        subsets = rows[n] if n < len(rows) else [0]
+    for n in ns:
+        subsets = rows.get(n, [0])
         p0, phat = subsets[0], {N: 2**N * c for N, c in enumerate(subsets) if N and c}
         excluded = totals[n] - p0 - sum(phat.values()) if totals else 0
         census.append(ClassCounts(n=n, p0=p0, phat=phat, excluded=excluded))
     return census
-
-
-def class_counts(graph: DirectedGraph, n: int, mode: str = "bond_distinct") -> ClassCounts:
-    """The census of total length n alone: row n of :func:`class_census`."""
-    if mode == "general" and n > graph.num_bonds:  # all excluded: skip the DP
-        return ClassCounts(n=n, p0=0, phat={}, excluded=pseudo_orbit_counts(graph, n)[n])
-    return class_census(graph, n, mode)[n]
 
 
 def pseudo_orbit_counts(graph: DirectedGraph, n_max: int) -> list[int]:
@@ -162,9 +166,14 @@ def variance_row(graph: DirectedGraph, n_max: int) -> list[Fraction]:
 
     The frontier pass at y_bits = 2 sums 4^N over the balanced n-bond
     subsets, which is |P0| + sum_N 2^N |PhatN| since each subset carries
-    2^N pseudo orbits.  No mirror is applied: n_max may reach B.
+    2^N pseudo orbits.
     """
-    return [Fraction(total, 2**n) for n, total in enumerate(_frontier_pass(graph, n_max, 2))]
+    return _variance_at(graph, range(n_max + 1))
+
+
+def _variance_at(graph: DirectedGraph, ns: Sequence[int]) -> list[Fraction]:
+    """:func:`variance_row` at each n in ``ns``, from one pass."""
+    return [Fraction(total, 2**n) for n, total in zip(ns, _frontier_pass(graph, ns, 2))]
 
 
 def variance_from_classes(counts: ClassCounts) -> Fraction:
@@ -175,10 +184,8 @@ def variance_from_classes(counts: ClassCounts) -> Fraction:
 
 
 def exact_variance(graph: DirectedGraph, n: int) -> Fraction:
-    """Exact variance of coefficient n, the last entry of
-    :func:`variance_row`; indices above B/2 use the mirror symmetry
-    var(n) = var(B - n)."""
-    return variance_row(graph, min(n, graph.num_bonds - n))[-1]
+    """Exact variance of coefficient n alone, as :func:`variance_row` gives it."""
+    return _variance_at(graph, [n])[0]
 
 
 # the last partner group c_gamma verified: its members in order, their

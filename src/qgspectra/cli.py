@@ -6,7 +6,7 @@ estimate outside tolerance, 5 enumeration cap exceeded (``orbits enumerate``
 only, whose ``--cap`` bounds the pseudo orbits written; every count and
 variance is computed without enumeration).  The oracle runs at n only where
 it evaluates at most ``SUBSET_LIMIT`` balanced minors, counted first.  Every
-count is one frontier pass; past that pass's budget the command exits 1.
+count is one frontier pass; past its budget, or out of memory, it exits 1.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .classify import (  # noqa: F401 (bench/worker.py patches cli.exact_variance)
-    class_census,
+from .classify import (
+    _census_at,
+    _variance_at,
     class_counts,
-    exact_variance,
+    exact_variance,  # noqa: F401 (bench/worker.py patches cli.exact_variance)
     pseudo_orbit_counts,
     variance_from_classes,
-    variance_row,
     write_orbit_dump,
 )
 from .graphs import (
@@ -206,20 +206,10 @@ def cmd_orbits_classify(args) -> int:
 # --- variance ---------------------------------------------------------
 
 
-def _mirrored(graph: DirectedGraph, ns: list[int], row_of):
-    """``row_of(m)`` read at each n, from one call sized at the largest
-    index m the mirror n -> B - n leaves (the complement of a balanced
-    subset is balanced, so the variance and the minor counts mirror)."""
-    B = graph.num_bonds
-    row = row_of(max(min(n, B - n) for n in ns))
-    return [row[min(n, B - n)] for n in ns]
-
-
 def cmd_variance_exact(args) -> int:
     graph, _ = _resolve_graph(args)
     ns = _index_range(args, graph.num_bonds)
-    exact = _mirrored(graph, ns, lambda m: variance_row(graph, m))
-    rows = [[_fmt(n), _fmt(frac), _fmt(float(frac))] for n, frac in zip(ns, exact)]
+    rows = [[_fmt(n), _fmt(v), _fmt(float(v))] for n, v in zip(ns, _variance_at(graph, ns))]
     _emit(_csv_text(["n", "exact_fraction", "exact"], rows), args.out)
     return EXIT_OK
 
@@ -227,7 +217,7 @@ def cmd_variance_exact(args) -> int:
 def cmd_variance_oracle(args) -> int:
     graph, _ = _resolve_graph(args)
     ns = _index_range(args, graph.num_bonds)
-    for n, count in zip(ns, _mirrored(graph, ns, lambda m: _frontier_pass(graph, m, 0))):
+    for n, count in zip(ns, _frontier_pass(graph, ns, 0)):
         if count > SUBSET_LIMIT:
             raise ValueError(f"the oracle at n={n} would evaluate {count} balanced minors, "
                              f"above the limit of {SUBSET_LIMIT}")
@@ -242,9 +232,8 @@ def _cross_check(args, graph: DirectedGraph, lengths, census: bool = False):
 
     Returns ``(rows, timings)`` with one ``(n, census, exact, oracle,
     estimate)`` row per n.  A census, if asked for, also gives the exact
-    and minor counts; it is None above B/2, where the mirror n -> B - n
-    gives the exact value.  The oracle is None past ``SUBSET_LIMIT``
-    balanced minors.
+    and minor counts; its column reads None above B/2.  The oracle is None
+    past ``SUBSET_LIMIT`` balanced minors.
     """
     B = graph.num_bonds
     ns = _index_range(args, B)
@@ -252,13 +241,13 @@ def _cross_check(args, graph: DirectedGraph, lengths, census: bool = False):
 
     t0 = time.perf_counter()
     if census:
-        counts = _mirrored(graph, ns, lambda m: class_census(graph, m))
+        counts = _census_at(graph, ns, "bond_distinct")
         exact = [variance_from_classes(c) for c in counts]
         minors = [c.p0 + sum(k >> N for N, k in c.phat.items()) for c in counts]
     else:
         counts = [None] * len(ns)
-        exact = _mirrored(graph, ns, lambda m: variance_row(graph, m))
-        minors = _mirrored(graph, ns, lambda m: _frontier_pass(graph, m, 0))
+        exact = _variance_at(graph, ns)
+        minors = _frontier_pass(graph, ns, 0)
     t1 = time.perf_counter()
     oracle = [
         minor_sum_variance(S, n) if count <= SUBSET_LIMIT else None
@@ -498,6 +487,9 @@ def main(argv=None) -> int:
         return EXIT_CAP
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -301,10 +301,10 @@ def _balanced_subsets(graph: DirectedGraph, n: int) -> Iterator[tuple[int, ...]]
                 stack.append((i + 1, count + k, mask | chosen))
 
 
-def _frontier_pass(graph: DirectedGraph, n_max: int, y_bits: int) -> list[int]:
+def _frontier_pass(graph: DirectedGraph, ns: Sequence[int], y_bits: int) -> list[int]:
     """Sum of 2^(y_bits * N(I)) over the balanced n-bond subsets I, for
-    n = 0..n_max, where N(I) counts the vertices I uses twice: y_bits = 0
-    counts the subsets (the oracle's minors), 1 their cycle covers (the
+    each n in ``ns``, where N(I) counts the vertices I uses twice: y_bits =
+    0 counts the subsets (the oracle's minors), 1 their cycle covers (the
     bond-distinct pseudo orbits) and 2 gives 2^n var(n).  Raises
     FrontierBudgetExceeded past ``FRONTIER_STATE_LIMIT`` states or
     ``FRONTIER_BIT_LIMIT`` packed bits; every y_bits holds the same states.
@@ -314,16 +314,19 @@ def _frontier_pass(graph: DirectedGraph, n_max: int, y_bits: int) -> list[int]:
     of the subsets that reach it, packed into one int; subset counts stay
     below 2^(B+1) and N <= n/2, so no coefficient reaches 2^width.  A step
     keeps the choices that balance the vertex and drops the bonds it
-    closes.  Only this pass needs at most two bonds in and out per vertex.
+    closes.  It runs to the largest min(n, B - n): with two bonds in and
+    out at each vertex, the complement of a balanced m-subset is balanced
+    with N + V - m doubled vertices, so n > V reads entry B - n, shifted.
     """
-    B = graph.num_bonds
-    if not 0 <= n_max <= B:
+    B, V = graph.num_bonds, graph.vertex_count
+    if not ns or not all(0 <= n <= B for n in ns):
         raise ValueError(f"n must lie in 0..{B}")
-    for v in range(graph.vertex_count):
+    for v in range(V):
         n_in, n_out = len(graph.in_bonds[v]), len(graph.out_bonds[v])
-        if n_in > 2 or n_out > 2:
+        if n_in != 2 or n_out != 2:
             raise ValueError(f"vertex {v} has {n_in} incoming / {n_out} outgoing bonds; "
-                             "counting balanced subsets needs at most 2 of each")
+                             "counting balanced subsets needs two of each")
+    n_max = max(min(n, B - n) for n in ns)
     width = B + 1 + y_bits * (n_max // 2)
     keep = (1 << (width * (n_max + 1))) - 1
     limit = min(FRONTIER_STATE_LIMIT, FRONTIER_BIT_LIMIT // (width * (n_max + 1)))
@@ -347,16 +350,14 @@ def _frontier_pass(graph: DirectedGraph, n_max: int, y_bits: int) -> list[int]:
         states = step
     total = states.get(0, 0)
     digit = (1 << width) - 1
-    return [(total >> (width * n)) & digit for n in range(n_max + 1)]
+    return [((total >> width * min(n, B - n)) & digit) << y_bits * max(n - V, 0) for n in ns]
 
 
-def _encounter_counts(graph: DirectedGraph, n_max: int) -> list[list[int]]:
-    """Entry [n][N] counts the balanced n-bond subsets, n <= n_max, with N
-    doubly used vertices: :func:`_frontier_pass` with one digit per N."""
+def _encounter_counts(graph: DirectedGraph, ns: Sequence[int]) -> list[list[int]]:
+    """Per n in ``ns``, the balanced n-subsets counted by N: the pass with one digit per N."""
     digit = graph.num_bonds + 1
-    row = _frontier_pass(graph, n_max, digit)
     return [[(packed >> (digit * N)) % (1 << digit) for N in range(n // 2 + 1)]
-            for n, packed in enumerate(row)]
+            for n, packed in zip(ns, _frontier_pass(graph, ns, digit))]
 
 
 def admissible_subsets(graph: DirectedGraph, n: int) -> Iterator[tuple[int, ...]]:
@@ -500,11 +501,11 @@ def enumerate_pseudo_orbits(
         raise ValueError(f"cap must be nonnegative, got {cap}")
     if mode == "bond_distinct":
         try:
-            row = _frontier_pass(graph, n, 1)
+            [count] = _frontier_pass(graph, [n], 1)
         except FrontierBudgetExceeded as exc:
             raise EnumerationCapExceeded(str(exc)) from exc
-        if row[n] > cap:
-            raise EnumerationCapExceeded(f"{row[n]} pseudo orbits at n={n} exceed the cap {cap}")
+        if count > cap:
+            raise EnumerationCapExceeded(f"{count} pseudo orbits at n={n} exceed the cap {cap}")
         out: list[PseudoOrbit] = []
         for subset in _balanced_subsets(graph, n):
             out.extend(covers_of_subset(graph, subset).covers)

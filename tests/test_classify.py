@@ -195,6 +195,13 @@ def test_census_rejects_vertex_above_two_in_two_out():
         exact_variance(graph, 3)
 
 
+def test_census_rejects_vertex_below_two_in_two_out():
+    # the mirror n -> B - n that every count reads above B/2 needs B = 2V
+    graph = DirectedGraph(2, ((0, 1), (1, 0), (1, 1)))
+    with pytest.raises(ValueError, match="vertex 0 has 1 incoming / 1 outgoing"):
+        class_counts(graph, 2)
+
+
 def test_census_rejects_bad_arguments(binary6):
     for mode in ("bond_distinct", "general"):
         with pytest.raises(ValueError):

@@ -183,6 +183,36 @@ def test_gate_count_beyond_the_state_budget_refuses(argv, code, capped_cli):
     assert "n=128" in proc.stderr and f"{limit} frontier states" in proc.stderr
 
 
+def test_counts_above_half_cost_their_mirror(capped_cli):
+    # B=256: n = 250 runs the pass to 6, with variance var(6) = 1/2, and
+    # n = 239 refuses at its mirror 17 as n = 17 does
+    proc = capped_cli("orbits", "classify", "--p", "1", "--r", "7", "--n", "250")
+    assert proc.returncode == EXIT_OK
+    payload = json.loads(proc.stdout)
+    assert (payload["p0"], payload["variance_fraction"]) == (0, "1/2")
+    proc = capped_cli("variance", "exact", "--p", "1", "--r", "7", "--n", "6")
+    assert proc.stdout.splitlines()[1].split(",")[1] == "1/2"
+    proc = capped_cli("orbits", "enumerate", "--p", "1", "--r", "7", "--n", "239")
+    assert proc.returncode == EXIT_CAP
+    assert proc.stdout == "" and "n=17 needs more than" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["variance", "exact", "--p", "1", "--r", "30"],
+    ["report", "convergence", "--r", "28", "--samples", "2"],
+    ["graph", "gen", "--p", "1000000001", "--r", "1", "--out", "g.json"],
+    ["variance", "diagonal", "--p", "1", "--r", "24"],
+    ["variance", "mc", "--p", "1", "--r", "14", "--n", "2", "--samples", "2"],
+])
+def test_out_of_memory_exits_config(argv, capped_cli, tmp_path, monkeypatch):
+    # a graph or matrix too large for the 1 GB cap ends in one line
+    monkeypatch.chdir(tmp_path)
+    proc = capped_cli(*argv)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
+
+
 def test_variance_mc_row_fields(tmp_path):
     out = tmp_path / "mc.csv"
     assert main(["variance", "mc", "--p", "3", "--r", "1", "--n", "0",
@@ -408,6 +438,7 @@ def test_report_table_reference_row_longer_than_header_exits_config(tmp_path, ca
     (["report", "table", "--p", "3", "--r", "1", "--n-max", "12",
       "--samples", "200", "--mc-tol", "1"], 6),
     (["variance", "diagonal", "--p", "3", "--r", "2"], 12),
+    (["orbits", "classify", "--p", "3", "--r", "2", "--n", "20"], 4),
 ])
 def test_one_engine_pass_per_command(argv, size, monkeypatch):
     # one engine call per command, sized at the largest index the mirror
@@ -415,12 +446,15 @@ def test_one_engine_pass_per_command(argv, size, monkeypatch):
     # pass and the oracle gate all run the one frontier loop
     from qgspectra import classify, cli, orbits
 
+    def size_of(graph, ns):
+        return ns if isinstance(ns, int) else max(min(n, graph.num_bonds - n) for n in ns)
+
     calls = []
     for module, name in ((orbits, "_frontier_pass"), (classify, "_frontier_pass"),
                          (cli, "_frontier_pass"), (cli, "pseudo_orbit_counts")):
         engine = getattr(module, name)
         monkeypatch.setattr(
-            module, name, lambda *a, engine=engine: calls.append(a[1]) or engine(*a)
+            module, name, lambda *a, engine=engine: calls.append(size_of(*a[:2])) or engine(*a)
         )
     assert main(argv) == EXIT_OK
     assert calls == [size]

@@ -151,12 +151,10 @@ def test_admissible_subsets_match_bruteforce(small_graphs):
 def _check_frontier_rows(graph, n_max):
     """The frontier pass counts, at every n <= n_max, the balanced subsets
     the search finds (y_bits = 0) and the pseudo orbits a dump returns
-    (y_bits = 1).  The subset counts are mirror-symmetric, as the oracle
-    gate assumes."""
-    B = graph.num_bonds
-    subsets = orbits._frontier_pass(graph, B, 0)
-    orbit_counts = orbits._frontier_pass(graph, B, 1)
-    assert subsets == subsets[::-1], graph
+    (y_bits = 1); above B/2 it reads both through the mirror n -> B - n."""
+    ns = range(graph.num_bonds + 1)
+    subsets = orbits._frontier_pass(graph, ns, 0)
+    orbit_counts = orbits._frontier_pass(graph, ns, 1)
     for n in range(n_max + 1):
         assert len(list(admissible_subsets(graph, n))) == subsets[n], (graph, n)
         assert len(enumerate_pseudo_orbits(graph, n)) == orbit_counts[n], (graph, n)
@@ -176,8 +174,9 @@ def test_frontier_rows_match_search_on_graph_family(family_graph):
 def _frontier_views(graph, n_max):
     """Every view of the frontier pass at n_max: y_bits 0, 1 and 2, and the
     census digit."""
-    return [lambda y=y: orbits._frontier_pass(graph, n_max, y) for y in (0, 1, 2)] + [
-        lambda: orbits._encounter_counts(graph, n_max)]
+    ns = range(n_max + 1)
+    return [lambda y=y: orbits._frontier_pass(graph, ns, y) for y in (0, 1, 2)] + [
+        lambda: orbits._encounter_counts(graph, ns)]
 
 
 def _finishes(view):
@@ -217,25 +216,25 @@ def test_every_frontier_view_shares_one_fate_on_graph_family(family_graph, monke
 
 
 def test_frontier_pass_gives_up_beyond_its_state_budget(debruijn16, monkeypatch):
-    full = orbits._frontier_pass(debruijn16, 16, 0)
+    full = orbits._frontier_pass(debruijn16, range(17), 0)
     peak = _check_one_fate(debruijn16, 16, monkeypatch)
-    assert orbits._frontier_pass(debruijn16, 16, 0) == full
+    assert orbits._frontier_pass(debruijn16, range(17), 0) == full
     monkeypatch.setattr(orbits, "FRONTIER_STATE_LIMIT", peak - 1)
     with pytest.raises(orbits.FrontierBudgetExceeded,
                        match=f"n=16 needs more than {peak - 1} frontier states"):
-        orbits._frontier_pass(debruijn16, 16, 0)
+        orbits._frontier_pass(debruijn16, range(17), 0)
 
 
 def test_only_the_bit_term_stops_the_census(debruijn16, monkeypatch):
     # a census state carries n_max/2 + 1 = 9 digits of 33 bits here, a
     # y_bits = 0 state one: bits for exactly the peak stop only the census
-    subsets = orbits._frontier_pass(debruijn16, 16, 0)
+    subsets = orbits._frontier_pass(debruijn16, range(17), 0)
     peak = _peak_states(debruijn16, 16, monkeypatch)
     monkeypatch.setattr(orbits, "FRONTIER_STATE_LIMIT", 100_000)
     monkeypatch.setattr(orbits, "FRONTIER_BIT_LIMIT", peak * 33 * 17)
-    assert orbits._frontier_pass(debruijn16, 16, 0) == subsets
+    assert orbits._frontier_pass(debruijn16, range(17), 0) == subsets
     with pytest.raises(orbits.FrontierBudgetExceeded, match=f"more than {peak // 9} frontier"):
-        orbits._encounter_counts(debruijn16, 16)
+        orbits._encounter_counts(debruijn16, range(17))
 
 
 def test_vertex_steps_built_once_per_graph():
