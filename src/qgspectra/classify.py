@@ -38,6 +38,9 @@ from typing import IO, Iterable, Sequence
 from .graphs import DirectedGraph
 from .orbits import PseudoOrbit, _encounter_counts, _frontier_pass
 
+WALK_BIT_LIMIT = 2**37  # bits pseudo_orbit_counts may move through its ints
+COUNT_BIT_LIMIT = 2**31  # and bits they may hold
+
 
 @dataclass(frozen=True)
 class OrbitClass:
@@ -135,7 +138,9 @@ def pseudo_orbit_counts(graph: DirectedGraph, n_max: int) -> list[int]:
     multiplicities), so |P^n| = [x^n] det(I - x^2 A) / det(I - xA).
     Newton's identities give the determinant, of degree <= V, from the
     closed-walk counts tr(A^k), pushed from every start vertex at once in
-    one packed int per end vertex.
+    one packed int per end vertex.  Raises ValueError if that push and the
+    recurrence for |P^n| would move more than ``WALK_BIT_LIMIT`` bits or
+    hold more than ``COUNT_BIT_LIMIT``.
     """
     if n_max < 0:
         raise ValueError("n must be nonnegative")
@@ -143,6 +148,14 @@ def pseudo_orbit_counts(graph: DirectedGraph, n_max: int) -> list[int]:
     degree = min(V, n_max)
     # a count of walks of length <= degree is at most B^degree < 2^width
     width = graph.num_bonds.bit_length() * degree + 1
+    # degree steps add B packed ints of V digits each; the recurrence takes
+    # up to degree products per n, each of a count of about n bits
+    moved = degree * (graph.num_bonds * V * width + (n_max + 1) ** 2)
+    held = V * V * width + (n_max + 1) ** 2 // 2
+    for verb, bits, limit in (("move", moved, WALK_BIT_LIMIT), ("hold", held, COUNT_BIT_LIMIT)):
+        if bits > limit:
+            raise ValueError(f"counting pseudo orbits up to n={n_max} would {verb} about "
+                             f"{bits:.2e} bits, above the limit of {limit}")
     digit = (1 << width) - 1
     walks = [1 << (width * v) for v in range(V)]
     det = [1]  # det(I - xA) = sum_k det[k] x^k

@@ -199,7 +199,14 @@ def cmd_orbits_classify(args) -> int:
         "variance_fraction": str(variance),
         "variance": float(variance),
     }
-    _emit(json.dumps(payload, indent=1) + "\n", args.out)
+    # a general-mode count can pass the interpreter's int-to-str digit limit
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(payload, indent=1) + "\n"
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
+    _emit(text, args.out)
     return EXIT_OK
 
 

@@ -25,9 +25,9 @@ from .quantize import BondLengths, BondScattering
 
 DEFAULT_K_MAX = 1e5
 _UNITARITY_GATE = 1e-6
-# Complex entries per stacked array (16 MB): sizes the default Monte Carlo
+# Complex entries per stacked array (4 MB): sizes the default Monte Carlo
 # batch and the oracle's blocks of minors, which set the peak memory.
-_STACK_ELEMENTS = 1 << 20
+_STACK_ELEMENTS = 1 << 18
 # Cayley route for unitary spectra (see _unitary_eigenvalues).
 _CAYLEY_ROTATION = 1.0  # rad; keeps -I and permutation matrices off the pole
 _CAYLEY_LIMIT = 1e3  # largest norm of the transform accepted
@@ -84,10 +84,10 @@ def _cayley_spectrum(U: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.n
     H and its Hermitian part i (W - W^H), and no stack for I - V is needed.
     The norm (taken as that of 2W) bounds max |mu| and also shows a pole
     that mu can miss: near a singular I + V the error in W is large, and
-    the part of it that i (W - W^H) discards can hold the pole.  A pass in
-    which some I + V was
-    exactly singular returns NaN and an infinite norm for every row; the
-    batched inverse cannot say which row it was.
+    the part of it that i (W - W^H) discards can hold the pole.  Reading
+    one triangle of iW instead would keep that part and spread it over the
+    row.  A pass in which some I + V was exactly singular returns NaN and
+    an infinite norm for every row; the batched inverse cannot say which.
     """
     diagonal = np.arange(U.shape[-1])
     plus = U * np.exp(1j * alpha)[:, np.newaxis, np.newaxis]
@@ -213,10 +213,10 @@ def mc_variance(
     memory does not grow with ``samples``.  Per-batch partial sums are
     reduced in batch order, so results are bit-identical for a given
     (samples, seed, k_max, batch_size) regardless of thread count, which
-    is capped at the batch count and the usable CPUs.  The default batch
-    holds about 2^20 matrix entries.  Eigenvalues come from the Hermitian
-    Cayley transform of U(k) (``_unitary_eigenvalues``), not the general
-    ``eigvals``; eigenvalue failures of individual batches propagate.
+    is capped at the batch count and the usable CPUs.  A default batch
+    holds at most three stacks of about 2^18 entries at once (U and two of
+    the Cayley operand, its inverse and their Hermitian part); eigenvalue
+    failures of individual batches propagate.
 
     ``std_error`` covers sampling noise only.  A finite ``k_max`` leaves a
     bias on top of it that depends on the bond lengths and can reach
@@ -315,7 +315,7 @@ def minor_sum_variance(S: BondScattering, n: int) -> float:
     A subset with more selected bonds into some vertex than out of it has
     linearly dependent columns there, so only the subsets balanced at every
     vertex are summed; the balanced-subset search of :mod:`orbits` lists
-    them.  Their determinants are evaluated in blocks of about 2^20 matrix
+    them.  Their determinants are evaluated in blocks of about 2^18 matrix
     entries.  This is the incommensurate-lengths limit of the k-average.
     """
     B = S.num_bonds

@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: outputs, determinism, exit codes."""
 
 import csv
+import decimal
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -195,6 +197,31 @@ def test_counts_above_half_cost_their_mirror(capped_cli):
     proc = capped_cli("orbits", "enumerate", "--p", "1", "--r", "7", "--n", "239")
     assert proc.returncode == EXIT_CAP
     assert proc.stdout == "" and "n=17 needs more than" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    # B=1024: the walk counts up to n=512 would take 87 s
+    (["variance", "diagonal", "--p", "1", "--r", "9"], "n=512 would move about 1.51e+12 bits"),
+    (["orbits", "classify", "--mode", "general", "--p", "1", "--r", "2", "--n", "70000"],
+     "n=70000 would hold about 2.45e+09 bits"),
+])
+def test_pseudo_orbit_count_beyond_its_budget_refuses(argv, message, capped_cli):
+    proc = capped_cli(*argv)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert message in proc.stderr and "above the limit of" in proc.stderr
+
+
+def test_general_count_past_the_digit_limit_prints_in_full(capsys):
+    # |P^14400| on B=8 has more decimal digits than str(int) converts by default
+    digit_limit = sys.get_int_max_str_digits()
+    assert main(["orbits", "classify", "--mode", "general", "--p", "1", "--r", "2",
+                 "--n", "14400"]) == EXIT_OK
+    assert sys.get_int_max_str_digits() == digit_limit
+    printed = re.search(r'"excluded": (\d+),', capsys.readouterr().out).group(1)
+    count = q.pseudo_orbit_counts(q.build_binary_graph(1, 2), 14400)[14400]
+    assert len(printed) > digit_limit
+    assert printed == str(decimal.Decimal(count))  # a conversion without the limit
 
 
 @pytest.mark.parametrize("argv", [

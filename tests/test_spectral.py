@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,52 @@ def test_mc_pool_capped_by_batches_and_cpus(scattering6, lengths6, monkeypatch):
     assert two == mc_variance(scattering6, lengths6, [2], samples=600, seed=4, batch_size=300)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert sizes[0] == min(8, cpus) and sizes[1] == min(2, cpus)
+
+
+def test_mc_working_set_is_bounded_by_the_stack_size():
+    # at B=64 a batch holds U, the Cayley operand and its inverse, one stack
+    # each; the Hermitian part comes after the operand is freed, and more
+    # samples add only batches
+    graph = q.build_binary_graph(1, 5)
+    S = q.build_bond_scattering(graph)
+    lengths = q.sample_bond_lengths(graph, 3)
+    mc_variance(S, lengths, None, samples=64, seed=1)  # one-time allocations
+    peaks = []
+    for samples in (512, 1024):
+        tracemalloc.start()
+        try:
+            mc_variance(S, lengths, None, samples=samples, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 3.5 * spectral._STACK_ELEMENTS * 16
+    assert max(peaks) < 16 * 2**20
+    assert peaks[1] <= peaks[0] + 2**16  # a batch's partial sums take 1 KB
+
+
+def test_mc_does_not_depend_on_the_batch_size():
+    graph = q.build_binary_graph(3, 2)  # B = 24
+    S = q.build_bond_scattering(graph)
+    lengths = q.sample_bond_lengths(graph, 5)
+    runs = [mc_variance(S, lengths, None, samples=300, seed=2, batch_size=size)
+            for size in (1, 7, None)]
+    for ests in zip(*runs):
+        means = np.array([est.mean for est in ests])
+        assert np.max(np.abs(means - means[-1])) <= 1e-12 * means[-1]
+        if 0 < ests[0].n < 24:  # |a_0| = |a_B| = 1: the std_error there is rounding noise
+            errors = np.array([est.std_error for est in ests])
+            assert np.max(np.abs(errors - errors[-1])) <= 1e-12 * errors[-1]
+
+
+def test_unitary_eigenvalues_of_a_stack_match_each_row():
+    graph = q.build_binary_graph(1, 5)
+    S = q.build_bond_scattering(graph)
+    lengths = q.sample_bond_lengths(graph, 3)
+    ks = np.random.default_rng(9).uniform(0.0, 1e5, 64)
+    U = S.matrix[np.newaxis] * np.exp(1j * np.outer(ks, lengths.values))[:, np.newaxis, :]
+    stacked = _unitary_eigenvalues(U)
+    rows = np.concatenate([_unitary_eigenvalues(U[i:i + 1]) for i in range(len(U))])
+    assert np.max(np.abs(stacked - rows)) <= 1e-14
 
 
 def test_mc_default_index_set(scattering6, lengths6):
