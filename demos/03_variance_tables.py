@@ -10,7 +10,7 @@ precision and the MC estimate to a few parts in a thousand.
 from fractions import Fraction
 
 import qgspectra as q
-from qgspectra.classify import class_counts, variance_from_classes
+from qgspectra.classify import census, variance_from_classes
 from qgspectra.spectral import mc_variance, minor_sum_variance
 
 for p, r, label in ((1, 3, "V=8 de Bruijn"), (3, 1, "V=6 binary")):
@@ -23,8 +23,7 @@ for p, r, label in ((1, 3, "V=8 de Bruijn"), (3, 1, "V=6 binary")):
     estimates = mc_variance(S, lengths, range(n_max + 1), samples=50_000, seed=3)
     print(f"\n{label} (B={B})")
     print(" n  |P0|  encounters      exact      oracle        MC")
-    for n in range(n_max + 1):
-        counts = class_counts(graph, n)
+    for n, counts in enumerate(census(graph, range(n_max + 1))):
         exact = variance_from_classes(counts)
         oracle = minor_sum_variance(S, n)
         mc = estimates[n]
@@ -39,7 +38,7 @@ for p, r, label in ((1, 3, "V=8 de Bruijn"), (3, 1, "V=6 binary")):
 # pseudo orbits plus 4 with one encounter.  A bond-distinct count of 10
 # would force (10 + 2*4)/16 = 9/8, but the exact variance is 7/8, which
 # pins the count to 6
-counts = class_counts(q.build_binary_graph(3, 1), 4)
+[counts] = census(q.build_binary_graph(3, 1), [4])
 print(f"\nV=6, n=4 census: p0={counts.p0}, encounters={counts.phat}")
 print(f"(6 + 2*4)/2^4 = {Fraction(6 + 8, 16)}  <- matches the exact value")
 print(f"(10 + 2*4)/2^4 = {Fraction(10 + 8, 16)} <- inconsistent")

@@ -10,7 +10,7 @@ subset with N such vertices has 2^N covers.
 
 import qgspectra as q
 from qgspectra.orbits import (
-    admissible_subsets,
+    balanced_counts,
     covers_of_subset,
     enumerate_pseudo_orbits,
     make_pseudo_orbit,
@@ -49,5 +49,5 @@ print(f"|det S_I|^2 = {sq:.6f} = 2^(2N-n) = {2.0 ** (2 * N - len(subset))}")
 po = make_pseudo_orbit(graph, [(10, 5), (0,)])
 print(f"\nhand-built: {po.orbits}, n={po.total_bonds}, multiset={po.bond_multiset()}")
 
-count = sum(1 for n in range(9) for _ in admissible_subsets(graph, n))
+count = sum(balanced_counts(graph, range(9), 0))
 print(f"balanced subsets with n <= 8: {count}")

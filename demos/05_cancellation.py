@@ -11,7 +11,7 @@ total over all groups is the exact variance, term by term.
 from fractions import Fraction
 
 import qgspectra as q
-from qgspectra.classify import c_gamma, classify_pseudo_orbit, exact_variance
+from qgspectra.classify import c_gamma, classify_pseudo_orbit, variance
 from qgspectra.orbits import enumerate_pseudo_orbits, group_by_bond_multiset
 
 graph = q.build_binary_graph(3, 1)   # V=6
@@ -32,5 +32,6 @@ for multiset, members in sorted(groups.items()):
           f"{'repeated bond' if repeated else 'bond-distinct'} {sorted(kinds)}")
 
 print(f"\nsum of C over all pseudo orbits: {total}")
-print(f"exact variance at n={n}:         {exact_variance(graph, n)}")
-assert total == exact_variance(graph, n)
+[exact] = variance(graph, [n])
+print(f"exact variance at n={n}:         {exact}")
+assert total == exact

@@ -10,20 +10,14 @@ count (and patience) for a Monte Carlo value at r = 5.
 """
 
 import qgspectra as q
-from qgspectra.classify import (
-    class_counts,
-    diagonal_approximation,
-    exact_variance,
-    variance_from_classes,
-)
+from qgspectra.classify import diagonal_approximation, variance
 from qgspectra.spectral import mc_variance
 
 # diagonal vs exact on the V=8 graph
 graph = q.build_binary_graph(1, 3)
 print("V=8: n, diagonal 2^-n |P^n|, exact")
-for n in range(2, 9):
+for n, exact in zip(range(2, 9), variance(graph, range(2, 9))):
     diag = diagonal_approximation(graph, n)
-    exact = variance_from_classes(class_counts(graph, n))
     flag = "" if diag == exact else "   <- encounters"
     print(f"  {n}  {str(diag):>6s}  {str(exact):>5s}{flag}")
 
@@ -32,7 +26,7 @@ print("\nmidpoint n = B/2:")
 for r in (2, 3, 4, 5):
     g = q.build_binary_graph(1, r)
     B = g.num_bonds
-    exact = exact_variance(g, B // 2)
+    [exact] = variance(g, [B // 2])
     line = f"  r={r} B={B:2d}: exact {str(exact):>11s} = {float(exact):.4f}"
     if r <= 4:
         S = q.build_bond_scattering(g)

@@ -12,15 +12,15 @@ from .classify import (
     ClassCounts,
     OrbitClass,
     c_gamma,
-    class_census,
+    census,
     class_counts,
     classify_pseudo_orbit,
     diagonal_approximation,
     exact_variance,
     pseudo_orbit_counts,
     pseudo_orbit_record,
+    variance,
     variance_from_classes,
-    variance_row,
     write_orbit_dump,
 )
 from .graphs import (
@@ -46,6 +46,7 @@ from .orbits import (
     EnumerationCapExceeded,
     PseudoOrbit,
     admissible_subsets,
+    balanced_counts,
     canonical_orbit,
     covers_of_subset,
     enumerate_pseudo_orbits,
@@ -88,12 +89,13 @@ __all__ = [
     "ValidationReport",
     "VarianceEstimate",
     "admissible_subsets",
+    "balanced_counts",
     "build_binary_graph",
     "build_bond_scattering",
     "c_gamma",
     "canonical_orbit",
+    "census",
     "char_poly_coefficients",
-    "class_census",
     "class_counts",
     "classify_pseudo_orbit",
     "covers_of_subset",
@@ -123,7 +125,7 @@ __all__ = [
     "transition_sign",
     "tuple_parity_census",
     "validate_graph",
+    "variance",
     "variance_from_classes",
-    "variance_row",
     "write_orbit_dump",
 ]

@@ -14,16 +14,16 @@ as a dyadic rational.
 
 The bond-distinct pseudo orbits of length n are the cycle covers of the
 balanced n-bond subsets, and a subset with N doubly used vertices has
-exactly 2^N of them.  One frontier transfer matrix (``orbits._frontier_pass``)
+exactly 2^N of them.  One frontier transfer matrix, ``balanced_counts``,
 sums x^n y^N over the balanced subsets, in exact integers, and builds no
-pseudo orbit.  It runs as one of two passes: the census pass counts the
-subsets by (n, N); the variance pass fixes y = 4, so that the coefficient
-of x^n is 2^n var(n) and no N digit is carried.  Either pass answers any
-index list at once, reading n > B/2 through the mirror n -> B - n; every
-row and per-n function is a view of one pass.  The number |P^n| of all
-primitive pseudo orbits, repeated bonds included, is [x^n] of
-det(I - x^2 A) / det(I - xA); it gives the general-mode census and the
-diagonal approximation.  Only JSONL dumps and partner sums enumerate.
+pseudo orbit.  The exact API is its two index-list views: :func:`census`
+counts the subsets by (n, N), and :func:`variance` fixes y = 4, so that
+the coefficient of x^n is 2^n var(n) and no N digit is carried.  Each
+answers its list from one pass, reading n > B/2 through the mirror
+n -> B - n.  The number |P^n| of all primitive pseudo orbits, repeated
+bonds included, is [x^n] of det(I - x^2 A) / det(I - xA); it gives the
+general-mode census and the diagonal approximation.  Only JSONL dumps and
+partner sums enumerate.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
 from .graphs import DirectedGraph
-from .orbits import PseudoOrbit, _encounter_counts, _frontier_pass
+from .orbits import PseudoOrbit, balanced_counts
 
 WALK_BIT_LIMIT = 2**37  # bits pseudo_orbit_counts may move through its ints
 COUNT_BIT_LIMIT = 2**31  # and bits they may hold
@@ -92,41 +92,38 @@ class ClassCounts:
         return sum(self.phat.values())
 
 
-def class_census(
-    graph: DirectedGraph, n_max: int, mode: str = "bond_distinct"
+def census(
+    graph: DirectedGraph, ns: Sequence[int], mode: str = "bond_distinct"
 ) -> list[ClassCounts]:
-    """Count P0 / PhatN / excluded pseudo orbits of each length n <= n_max.
+    """Count P0 / PhatN / excluded pseudo orbits of each length n in ``ns``.
 
     ``bond_distinct`` counts balanced n-bond subsets by encounter number
-    N in one transfer-matrix pass; each carries 2^N pseudo orbits (its
-    cycle covers).  ``general`` adds the pseudo orbits with a repeated
-    bond as ``excluded`` = |P^n| - p0 - sum_N phat_N, with |P^n| from
-    :func:`pseudo_orbit_counts`; above n = B every pseudo orbit repeats a
-    bond.
+    N in one transfer-matrix pass, one digit of B + 1 bits per N; each
+    carries 2^N pseudo orbits (its cycle covers).  ``general`` adds the
+    pseudo orbits with a repeated bond as ``excluded`` = |P^n| - p0 -
+    sum_N phat_N, with |P^n| from :func:`pseudo_orbit_counts`; above n = B
+    every pseudo orbit repeats a bond.
     """
-    return _census_at(graph, range(n_max + 1), mode)
-
-
-def class_counts(graph: DirectedGraph, n: int, mode: str = "bond_distinct") -> ClassCounts:
-    """The census of total length n alone, as :func:`class_census` counts it."""
-    return _census_at(graph, [n], mode)[0]
-
-
-def _census_at(graph: DirectedGraph, ns: Sequence[int], mode: str) -> list[ClassCounts]:
-    """:func:`class_census` at each n in ``ns``, from at most one pass."""
     if mode not in ("bond_distinct", "general"):
         raise ValueError(f"unknown mode {mode!r}")
     totals = pseudo_orbit_counts(graph, max(ns, default=-1)) if mode == "general" else None
     # every pseudo orbit above n = B repeats a bond: general mode counts no subsets there
     counted = ns if totals is None else [n for n in ns if n <= graph.num_bonds]
-    rows = dict(zip(counted, _encounter_counts(graph, counted))) if counted or not ns else {}
-    census = []
+    digit = graph.num_bonds + 1
+    rows = balanced_counts(graph, counted, digit) if counted or not ns else []
+    packed = dict(zip(counted, rows))
+    result = []
     for n in ns:
-        subsets = rows.get(n, [0])
+        subsets = [(packed.get(n, 0) >> digit * N) % (1 << digit) for N in range(n // 2 + 1)]
         p0, phat = subsets[0], {N: 2**N * c for N, c in enumerate(subsets) if N and c}
         excluded = totals[n] - p0 - sum(phat.values()) if totals else 0
-        census.append(ClassCounts(n=n, p0=p0, phat=phat, excluded=excluded))
-    return census
+        result.append(ClassCounts(n=n, p0=p0, phat=phat, excluded=excluded))
+    return result
+
+
+def class_counts(graph: DirectedGraph, n: int, mode: str = "bond_distinct") -> ClassCounts:
+    """:func:`census` at n alone; ``bench/worker.py`` calls it (ROADMAP item 1)."""
+    return census(graph, [n], mode)[0]
 
 
 def pseudo_orbit_counts(graph: DirectedGraph, n_max: int) -> list[int]:
@@ -174,19 +171,14 @@ def pseudo_orbit_counts(graph: DirectedGraph, n_max: int) -> list[int]:
     return totals
 
 
-def variance_row(graph: DirectedGraph, n_max: int) -> list[Fraction]:
-    """Exact variance of every coefficient n = 0..n_max, in one pass.
+def variance(graph: DirectedGraph, ns: Sequence[int]) -> list[Fraction]:
+    """Exact variance of coefficient n for each n in ``ns``, from one pass.
 
     The frontier pass at y_bits = 2 sums 4^N over the balanced n-bond
     subsets, which is |P0| + sum_N 2^N |PhatN| since each subset carries
     2^N pseudo orbits.
     """
-    return _variance_at(graph, range(n_max + 1))
-
-
-def _variance_at(graph: DirectedGraph, ns: Sequence[int]) -> list[Fraction]:
-    """:func:`variance_row` at each n in ``ns``, from one pass."""
-    return [Fraction(total, 2**n) for n, total in zip(ns, _frontier_pass(graph, ns, 2))]
+    return [Fraction(total, 2**n) for n, total in zip(ns, balanced_counts(graph, ns, 2))]
 
 
 def variance_from_classes(counts: ClassCounts) -> Fraction:
@@ -197,8 +189,8 @@ def variance_from_classes(counts: ClassCounts) -> Fraction:
 
 
 def exact_variance(graph: DirectedGraph, n: int) -> Fraction:
-    """Exact variance of coefficient n alone, as :func:`variance_row` gives it."""
-    return _variance_at(graph, [n])[0]
+    """:func:`variance` at n alone; ``bench/worker.py`` calls it (ROADMAP item 1)."""
+    return variance(graph, [n])[0]
 
 
 # the last partner group c_gamma verified: its members in order, their
@@ -245,7 +237,8 @@ def c_gamma(
 def diagonal_approximation(graph: DirectedGraph, n: int) -> Fraction:
     """Equal-weight estimate 2^-n |P^n| over all primitive pseudo orbits of
     length n (repeated bonds included), with |P^n| from
-    :func:`pseudo_orbit_counts`; approaches 1/2 on large graphs."""
+    :func:`pseudo_orbit_counts`; approaches 1/2 on large graphs.
+    ``bench/worker.py`` calls it (ROADMAP item 1)."""
     return Fraction(pseudo_orbit_counts(graph, n)[n], 2**n)
 
 

@@ -6,7 +6,9 @@ estimate outside tolerance, 5 enumeration cap exceeded (``orbits enumerate``
 only, whose ``--cap`` bounds the pseudo orbits written; every count and
 variance is computed without enumeration).  The oracle runs at n only where
 it evaluates at most ``SUBSET_LIMIT`` balanced minors, counted first.  Every
-count is one frontier pass; past its budget, or out of memory, it exits 1.
+count is one frontier pass, read only through the public exact API
+(``classify.census``, ``classify.variance`` and ``orbits.balanced_counts``);
+past its budget, or out of memory, it exits 1.
 """
 
 from __future__ import annotations
@@ -25,14 +27,13 @@ from pathlib import Path
 
 from . import __version__
 from .classify import (
-    _census_at,
-    _variance_at,
-    class_counts,
-    exact_variance,  # noqa: F401 (bench/worker.py patches cli.exact_variance)
+    census,
     pseudo_orbit_counts,
+    variance,
     variance_from_classes,
     write_orbit_dump,
 )
+from .classify import class_counts, exact_variance  # noqa: F401 (bench/worker.py patches both)
 from .graphs import (
     DirectedGraph,
     build_binary_graph,
@@ -41,7 +42,7 @@ from .graphs import (
     save_graph,
     validate_graph,
 )
-from .orbits import DEFAULT_CAP, EnumerationCapExceeded, _frontier_pass, enumerate_pseudo_orbits
+from .orbits import DEFAULT_CAP, EnumerationCapExceeded, balanced_counts, enumerate_pseudo_orbits
 from .quantize import BondLengths, build_bond_scattering, sample_bond_lengths
 from .spectral import DEFAULT_K_MAX, mc_variance, minor_sum_variance
 
@@ -188,16 +189,16 @@ def cmd_orbits_enumerate(args) -> int:
 
 def cmd_orbits_classify(args) -> int:
     graph, _ = _resolve_graph(args)
-    counts = class_counts(graph, args.n, mode=args.mode)
-    variance = variance_from_classes(counts)
+    [counts] = census(graph, [args.n], args.mode)
+    exact = variance_from_classes(counts)
     payload = {
         "n": counts.n,
         "mode": args.mode,
         "p0": counts.p0,
         "phat": {str(N): c for N, c in counts.phat.items()},
         "excluded": counts.excluded,
-        "variance_fraction": str(variance),
-        "variance": float(variance),
+        "variance_fraction": str(exact),
+        "variance": float(exact),
     }
     # a general-mode count can pass the interpreter's int-to-str digit limit
     digit_limit = sys.get_int_max_str_digits()
@@ -216,7 +217,7 @@ def cmd_orbits_classify(args) -> int:
 def cmd_variance_exact(args) -> int:
     graph, _ = _resolve_graph(args)
     ns = _index_range(args, graph.num_bonds)
-    rows = [[_fmt(n), _fmt(v), _fmt(float(v))] for n, v in zip(ns, _variance_at(graph, ns))]
+    rows = [[_fmt(n), _fmt(v), _fmt(float(v))] for n, v in zip(ns, variance(graph, ns))]
     _emit(_csv_text(["n", "exact_fraction", "exact"], rows), args.out)
     return EXIT_OK
 
@@ -224,7 +225,7 @@ def cmd_variance_exact(args) -> int:
 def cmd_variance_oracle(args) -> int:
     graph, _ = _resolve_graph(args)
     ns = _index_range(args, graph.num_bonds)
-    for n, count in zip(ns, _frontier_pass(graph, ns, 0)):
+    for n, count in zip(ns, balanced_counts(graph, ns, 0)):
         if count > SUBSET_LIMIT:
             raise ValueError(f"the oracle at n={n} would evaluate {count} balanced minors, "
                              f"above the limit of {SUBSET_LIMIT}")
@@ -234,7 +235,7 @@ def cmd_variance_oracle(args) -> int:
     return EXIT_OK
 
 
-def _cross_check(args, graph: DirectedGraph, lengths, census: bool = False):
+def _cross_check(args, graph: DirectedGraph, lengths, with_census: bool = False):
     """Every route at each requested n, timed route by route.
 
     Returns ``(rows, timings)`` with one ``(n, census, exact, oracle,
@@ -247,14 +248,14 @@ def _cross_check(args, graph: DirectedGraph, lengths, census: bool = False):
     S = build_bond_scattering(graph)
 
     t0 = time.perf_counter()
-    if census:
-        counts = _census_at(graph, ns, "bond_distinct")
+    if with_census:
+        counts = census(graph, ns)
         exact = [variance_from_classes(c) for c in counts]
         minors = [c.p0 + sum(k >> N for N, k in c.phat.items()) for c in counts]
     else:
         counts = [None] * len(ns)
-        exact = _variance_at(graph, ns)
-        minors = _frontier_pass(graph, ns, 0)
+        exact = variance(graph, ns)
+        minors = balanced_counts(graph, ns, 0)
     t1 = time.perf_counter()
     oracle = [
         minor_sum_variance(S, n) if count <= SUBSET_LIMIT else None
@@ -325,7 +326,7 @@ def cmd_report_table(args) -> int:
     if not 0 <= args.mc_tol < math.inf:
         raise ValueError(f"--mc-tol must be finite and non-negative, got {args.mc_tol}")
     graph, lengths = _resolve_graph_and_lengths(args)
-    rows, timings = _cross_check(args, graph, lengths, census=True)
+    rows, timings = _cross_check(args, graph, lengths, with_census=True)
 
     max_encounters = max(
         (max(counts.phat, default=0) for _, counts, *_ in rows if counts), default=0

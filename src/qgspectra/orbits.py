@@ -17,6 +17,7 @@ modes cover different needs:
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import weakref
@@ -182,23 +183,30 @@ def _elimination_order(graph: DirectedGraph) -> list[int]:
 
     Processing a vertex closes its bonds to processed vertices and opens
     its bonds to unprocessed ones; each step picks the vertex that leaves
-    the fewest open bonds.  :func:`_vertex_steps` follows this order.
+    the fewest open bonds: the least score, its bonds to unprocessed
+    vertices less those to processed ones.  A lazy heap of (score, vertex)
+    finds each pick, so the order costs O(B log V).  :func:`_vertex_steps`
+    follows this order.
     """
     neighbours: list[list[int]] = [[] for _ in range(graph.vertex_count)]
     for u, w in graph.bonds:
         if u != w:
             neighbours[u].append(w)
             neighbours[w].append(u)
+    score = [len(near) for near in neighbours]
+    heap = sorted((s, v) for v, s in enumerate(score))  # a sorted list is a heap
     done = [False] * graph.vertex_count
     order: list[int] = []
-    for _ in range(graph.vertex_count):
-        _, v = min(
-            (sum(-1 if done[w] else 1 for w in neighbours[v]), v)
-            for v in range(graph.vertex_count)
-            if not done[v]
-        )
+    while heap:
+        s, v = heapq.heappop(heap)
+        if done[v] or s != score[v]:
+            continue  # a stale entry: v was processed or rescored since
         done[v] = True
         order.append(v)
+        for w in neighbours[v]:
+            score[w] -= 2
+            if not done[w]:
+                heapq.heappush(heap, (score[w], w))
     return order
 
 
@@ -301,7 +309,7 @@ def _balanced_subsets(graph: DirectedGraph, n: int) -> Iterator[tuple[int, ...]]
                 stack.append((i + 1, count + k, mask | chosen))
 
 
-def _frontier_pass(graph: DirectedGraph, ns: Sequence[int], y_bits: int) -> list[int]:
+def balanced_counts(graph: DirectedGraph, ns: Sequence[int], y_bits: int) -> list[int]:
     """Sum of 2^(y_bits * N(I)) over the balanced n-bond subsets I, for
     each n in ``ns``, where N(I) counts the vertices I uses twice: y_bits =
     0 counts the subsets (the oracle's minors), 1 their cycle covers (the
@@ -353,13 +361,6 @@ def _frontier_pass(graph: DirectedGraph, ns: Sequence[int], y_bits: int) -> list
     return [((total >> width * min(n, B - n)) & digit) << y_bits * max(n - V, 0) for n in ns]
 
 
-def _encounter_counts(graph: DirectedGraph, ns: Sequence[int]) -> list[list[int]]:
-    """Per n in ``ns``, the balanced n-subsets counted by N: the pass with one digit per N."""
-    digit = graph.num_bonds + 1
-    return [[(packed >> (digit * N)) % (1 << digit) for N in range(n // 2 + 1)]
-            for n, packed in zip(ns, _frontier_pass(graph, ns, digit))]
-
-
 def admissible_subsets(graph: DirectedGraph, n: int) -> Iterator[tuple[int, ...]]:
     """Yield the n-bond subsets balanced at every vertex (in = out), in
     ascending lexicographic order.
@@ -368,6 +369,7 @@ def admissible_subsets(graph: DirectedGraph, n: int) -> Iterator[tuple[int, ...]
     scattering matrix; all others have an unbalanced vertex.  They come
     from one depth-first search (see :func:`_balanced_subsets`) whose cost
     follows their number, and are sorted before the first is yielded.
+    ``bench/worker.py`` calls it (ROADMAP item 1).
     """
     B = graph.num_bonds
     if not 0 <= n <= B:
@@ -490,7 +492,7 @@ def enumerate_pseudo_orbits(
     ``bond_distinct`` unions the cycle covers of all balanced n-subsets,
     found by a search whose cost follows their number.  Before building
     any, it refuses more than ``cap`` of them, or a count by
-    :func:`_frontier_pass` past its budget.
+    :func:`balanced_counts` past its budget.
     ``general`` combines arbitrary distinct primitive orbits of total
     length n and is a strict superset once n admits repeated bonds; its
     orbit search takes at most ``cap`` steps.
@@ -501,7 +503,7 @@ def enumerate_pseudo_orbits(
         raise ValueError(f"cap must be nonnegative, got {cap}")
     if mode == "bond_distinct":
         try:
-            [count] = _frontier_pass(graph, [n], 1)
+            [count] = balanced_counts(graph, [n], 1)
         except FrontierBudgetExceeded as exc:
             raise EnumerationCapExceeded(str(exc)) from exc
         if count > cap:

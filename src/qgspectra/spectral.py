@@ -210,8 +210,10 @@ def mc_variance(
 
     A counter-based generator keyed on ``seed`` fixes the k sample: each
     batch draws its own slice of that one stream (see ``_k_slice``), so
-    memory does not grow with ``samples``.  Per-batch partial sums are
-    reduced in batch order, so results are bit-identical for a given
+    memory does not grow with ``samples``.  Per-batch sums, and sums of
+    squares about the batch mean, merge in batch order (the latter by the
+    pairwise update of Chan, Golub and LeVeque, which does not cancel where
+    |a_n|^2 barely varies), so results are bit-identical for a given
     (samples, seed, k_max, batch_size) regardless of thread count, which
     is capped at the batch count and the usable CPUs.  A default batch
     holds at most three stacks of about 2^18 entries at once (U and two of
@@ -256,33 +258,27 @@ def mc_variance(
         U = matrix[np.newaxis, :, :] * phases[:, np.newaxis, :]
         eigenvalues = _unitary_eigenvalues(U)
         power = np.abs(_coefficients_from_eigenvalues(eigenvalues)) ** 2
-        return power.sum(axis=0), (power * power).sum(axis=0)
+        part_sum = power.sum(axis=0)
+        return part_sum, ((power - part_sum / len(power)) ** 2).sum(axis=0)
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     with ThreadPoolExecutor(max_workers=min(threads, len(starts), cpus or 1)) as pool:
         partials = list(pool.map(run_batch, starts))
 
-    total = np.zeros(B + 1)
-    total_sq = np.zeros(B + 1)
-    for part_sum, part_sq in partials:  # fixed order: independent of scheduling
+    # fixed order, independent of scheduling; batch `start` follows `start` samples
+    total, centred = partials[0]
+    for start, (part_sum, part_centred) in zip(starts[1:], partials[1:]):
+        size = min(batch_size, samples - start)
+        delta = part_sum / size - total / start
+        centred += part_centred + delta * delta * (start * size / (start + size))
         total += part_sum
-        total_sq += part_sq
 
-    out = []
-    for n in ns:
-        mean = total[n] / samples
-        var = max(0.0, (total_sq[n] - samples * mean * mean) / (samples - 1))
-        out.append(
-            VarianceEstimate(
-                n=n,
-                mean=float(mean),
-                std_error=float(math.sqrt(var / samples)),
-                samples=samples,
-                seed=seed,
-                k_max=float(k_max),
-            )
-        )
-    return out
+    return [
+        VarianceEstimate(n=n, mean=float(total[n] / samples),
+                         std_error=float(math.sqrt(centred[n] / (samples - 1) / samples)),
+                         samples=samples, seed=seed, k_max=float(k_max))
+        for n in ns
+    ]
 
 
 def subset_contribution(

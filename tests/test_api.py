@@ -1,5 +1,6 @@
 """The package namespace: every exported name resolves, none twice; no
-module imports a name it never uses; and every private helper is used."""
+module imports a name it never uses; every private helper is used; and the
+CLI imports no private name."""
 
 import ast
 from pathlib import Path
@@ -70,3 +71,17 @@ def test_every_private_name_is_used():
                 ):
                     unused.append(f"{module}:{node.lineno}: {name}")
     assert unused == []
+
+
+def test_cli_imports_no_private_name():
+    """The CLI is a view over the public API: it reaches no route through
+    an underscore name of another module."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    private = [
+        f"cli.py:{node.lineno}: {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert private == []

@@ -13,15 +13,15 @@ from hypothesis import strategies as st
 import qgspectra as q
 from qgspectra.classify import (
     ClassCounts,
-    class_census,
+    census,
     class_counts,
     classify_pseudo_orbit,
     diagonal_approximation,
     exact_variance,
     pseudo_orbit_counts,
     pseudo_orbit_record,
+    variance,
     variance_from_classes,
-    variance_row,
     write_orbit_dump,
 )
 from qgspectra.graphs import DirectedGraph
@@ -144,11 +144,12 @@ def _assert_census_matches_enumeration(graph, n_max):
     n <= n_max, also above B.  The one-pass rows must equal the per-n
     views."""
     S = q.build_bond_scattering(graph)
-    bond_distinct_rows = class_census(graph, min(n_max, graph.num_bonds))
-    assert variance_row(graph, min(n_max, graph.num_bonds)) == [
+    bond_distinct_ns = range(min(n_max, graph.num_bonds) + 1)
+    bond_distinct_rows = census(graph, bond_distinct_ns)
+    assert variance(graph, bond_distinct_ns) == [
         variance_from_classes(counts) for counts in bond_distinct_rows
     ]
-    general_rows = class_census(graph, n_max, mode="general")
+    general_rows = census(graph, range(n_max + 1), mode="general")
     totals = pseudo_orbit_counts(graph, n_max)
     for n in range(min(n_max, graph.num_bonds) + 1):
         counts = class_counts(graph, n)
@@ -238,8 +239,8 @@ def test_variance_pass_pinned_rows():
     # and the whole B=64 row against the census
     assert exact_variance(q.build_binary_graph(1, 6), 64) == Fraction(2226561237, 2**32)
     debruijn32 = q.build_binary_graph(1, 5)
-    row = variance_row(debruijn32, 32)
-    assert row == [variance_from_classes(counts) for counts in class_census(debruijn32, 32)]
+    row = variance(debruijn32, range(33))
+    assert row == [variance_from_classes(counts) for counts in census(debruijn32, range(33))]
     assert row[32] == Fraction(36993, 65536)
 
 

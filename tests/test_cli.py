@@ -477,8 +477,8 @@ def test_one_engine_pass_per_command(argv, size, monkeypatch):
         return ns if isinstance(ns, int) else max(min(n, graph.num_bonds - n) for n in ns)
 
     calls = []
-    for module, name in ((orbits, "_frontier_pass"), (classify, "_frontier_pass"),
-                         (cli, "_frontier_pass"), (cli, "pseudo_orbit_counts")):
+    for module, name in ((orbits, "balanced_counts"), (classify, "balanced_counts"),
+                         (cli, "balanced_counts"), (cli, "pseudo_orbit_counts")):
         engine = getattr(module, name)
         monkeypatch.setattr(
             module, name, lambda *a, engine=engine: calls.append(size_of(*a[:2])) or engine(*a)

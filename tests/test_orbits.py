@@ -4,6 +4,8 @@ import dataclasses
 import gc
 import itertools
 import math
+import random
+import time
 from collections import Counter
 
 import numpy as np
@@ -153,8 +155,8 @@ def _check_frontier_rows(graph, n_max):
     the search finds (y_bits = 0) and the pseudo orbits a dump returns
     (y_bits = 1); above B/2 it reads both through the mirror n -> B - n."""
     ns = range(graph.num_bonds + 1)
-    subsets = orbits._frontier_pass(graph, ns, 0)
-    orbit_counts = orbits._frontier_pass(graph, ns, 1)
+    subsets = orbits.balanced_counts(graph, ns, 0)
+    orbit_counts = orbits.balanced_counts(graph, ns, 1)
     for n in range(n_max + 1):
         assert len(list(admissible_subsets(graph, n))) == subsets[n], (graph, n)
         assert len(enumerate_pseudo_orbits(graph, n)) == orbit_counts[n], (graph, n)
@@ -175,8 +177,8 @@ def _frontier_views(graph, n_max):
     """Every view of the frontier pass at n_max: y_bits 0, 1 and 2, and the
     census digit."""
     ns = range(n_max + 1)
-    return [lambda y=y: orbits._frontier_pass(graph, ns, y) for y in (0, 1, 2)] + [
-        lambda: orbits._encounter_counts(graph, ns)]
+    return [lambda y=y: orbits.balanced_counts(graph, ns, y) for y in (0, 1, 2)] + [
+        lambda: q.census(graph, ns)]
 
 
 def _finishes(view):
@@ -216,25 +218,25 @@ def test_every_frontier_view_shares_one_fate_on_graph_family(family_graph, monke
 
 
 def test_frontier_pass_gives_up_beyond_its_state_budget(debruijn16, monkeypatch):
-    full = orbits._frontier_pass(debruijn16, range(17), 0)
+    full = orbits.balanced_counts(debruijn16, range(17), 0)
     peak = _check_one_fate(debruijn16, 16, monkeypatch)
-    assert orbits._frontier_pass(debruijn16, range(17), 0) == full
+    assert orbits.balanced_counts(debruijn16, range(17), 0) == full
     monkeypatch.setattr(orbits, "FRONTIER_STATE_LIMIT", peak - 1)
     with pytest.raises(orbits.FrontierBudgetExceeded,
                        match=f"n=16 needs more than {peak - 1} frontier states"):
-        orbits._frontier_pass(debruijn16, range(17), 0)
+        orbits.balanced_counts(debruijn16, range(17), 0)
 
 
 def test_only_the_bit_term_stops_the_census(debruijn16, monkeypatch):
     # a census state carries n_max/2 + 1 = 9 digits of 33 bits here, a
     # y_bits = 0 state one: bits for exactly the peak stop only the census
-    subsets = orbits._frontier_pass(debruijn16, range(17), 0)
+    subsets = orbits.balanced_counts(debruijn16, range(17), 0)
     peak = _peak_states(debruijn16, 16, monkeypatch)
     monkeypatch.setattr(orbits, "FRONTIER_STATE_LIMIT", 100_000)
     monkeypatch.setattr(orbits, "FRONTIER_BIT_LIMIT", peak * 33 * 17)
-    assert orbits._frontier_pass(debruijn16, range(17), 0) == subsets
+    assert orbits.balanced_counts(debruijn16, range(17), 0) == subsets
     with pytest.raises(orbits.FrontierBudgetExceeded, match=f"more than {peak // 9} frontier"):
-        orbits._encounter_counts(debruijn16, range(17))
+        q.census(debruijn16, range(17))
 
 
 def test_vertex_steps_built_once_per_graph():
@@ -242,7 +244,7 @@ def test_vertex_steps_built_once_per_graph():
     steps = orbits._vertex_steps(graph)
     assert orbits._vertex_steps(graph) is steps
     # the frontier pass and the subset search only read the shared table
-    q.class_census(graph, 9)
+    q.census(graph, range(10))
     list(admissible_subsets(graph, 9))
     assert steps == orbits._build_vertex_steps(graph)
 
@@ -259,6 +261,51 @@ def test_vertex_steps_die_with_their_graph():
     del graph
     gc.collect()
     assert [len(table) for table in tables] == before
+
+
+def _rescanned_elimination_order(graph):
+    """The greedy min-frontier order by a rescan of every vertex per step."""
+    neighbours = [[] for _ in range(graph.vertex_count)]
+    for u, w in graph.bonds:
+        if u != w:
+            neighbours[u].append(w)
+            neighbours[w].append(u)
+    done = [False] * graph.vertex_count
+    order = []
+    for _ in range(graph.vertex_count):
+        _, v = min((sum(-1 if done[w] else 1 for w in neighbours[v]), v)
+                   for v in range(graph.vertex_count) if not done[v])
+        done[v] = True
+        order.append(v)
+    return order
+
+
+def test_elimination_order_matches_a_full_rescan():
+    graphs = [q.build_binary_graph(1, r) for r in range(1, 8)]
+    graphs += [q.build_binary_graph(p, r) for p, r in ((3, 1), (3, 2), (5, 1), (7, 1))]
+    # seeded configuration-model graphs on up to 40 vertices, with
+    # self-loops and parallel bonds
+    rng = random.Random(11)
+    while len(graphs) < 51:
+        V = rng.randint(1, 40)
+        stubs = [v for v in range(V) for _ in range(4)]
+        rng.shuffle(stubs)
+        try:
+            graphs.append(q.orient_four_regular(zip(stubs[::2], stubs[1::2]), vertex_count=V))
+        except ValueError:  # disconnected draw
+            continue
+    for graph in graphs:
+        assert orbits._elimination_order(graph) == _rescanned_elimination_order(graph), graph
+
+
+def test_elimination_order_scales_to_large_graphs():
+    # V = 16384, where a rescan of every vertex per step, quadratic in V,
+    # takes minutes
+    graph = q.build_binary_graph(1, 14)
+    start = time.perf_counter()
+    order = orbits._elimination_order(graph)
+    assert time.perf_counter() - start < 2.0
+    assert sorted(order) == list(range(graph.vertex_count))
 
 
 def test_admissible_subsets_rejects_bad_n(binary6):

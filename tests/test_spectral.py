@@ -173,6 +173,17 @@ def test_mc_thread_count_invariance(scattering6, lengths6):
     assert single == pooled
 
 
+def test_mc_stderr_does_not_cancel_where_the_power_is_constant():
+    # |a_B| = 1, so the n = B spread is rounding noise; the textbook
+    # (sum of squares - M mean^2) / (M - 1) cancels there, to a stderr of 1.4e-9
+    graph = q.build_binary_graph(3, 2)
+    S = q.build_bond_scattering(graph)
+    lengths = q.sample_bond_lengths(graph, 4)
+    [est] = mc_variance(S, lengths, [24], samples=300, seed=4)
+    assert est.mean == pytest.approx(1.0, abs=1e-14)
+    assert est.std_error < 1e-14
+
+
 def test_mc_pool_capped_by_batches_and_cpus(scattering6, lengths6, monkeypatch):
     # a serial stand-in records the pool size, so no thread is started
     sizes = []
