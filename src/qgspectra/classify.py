@@ -28,12 +28,15 @@ partner sums enumerate.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import operator
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 from .graphs import DirectedGraph
 from .orbits import PseudoOrbit, balanced_counts
@@ -66,17 +69,51 @@ def classify_pseudo_orbit(graph: DirectedGraph, pseudo_orbit: PseudoOrbit) -> Or
     zero total weight and are excluded.  A passage through a vertex is a
     bond entering it, counted with multiplicity.
     """
-    bonds = [b for orbit in pseudo_orbit.orbits for b in orbit]
+    bonds = list(itertools.chain.from_iterable(pseudo_orbit.orbits))
     if len(set(bonds)) < len(bonds):
-        return OrbitClass("excluded", None, "repeated bond")
-    visits = Counter([graph.bonds[b][1] for b in bonds]).values()
-    if max(visits, default=0) >= 3:
-        # only on graphs with more than two bonds into a vertex
-        return OrbitClass("excluded", None, "vertex passed three or more times")
+        return _REPEATED_BOND
+    termini, crowded = _termini(graph)
+    ends = list(map(termini.__getitem__, bonds))
+    # distinct bonds pass a vertex at most as often as bonds enter it
+    if crowded and max(Counter(ends).values(), default=0) >= 3:
+        return _THIRD_PASSAGE
     # every visited vertex is passed once or twice, so the surplus of
     # passages over vertices is the number passed twice
-    encounters = len(bonds) - len(visits)
+    return _encounter_class(len(bonds) - len(set(ends)))
+
+
+# the classes are frozen values, so each is built once and shared
+_REPEATED_BOND = OrbitClass("excluded", None, "repeated bond")
+_THIRD_PASSAGE = OrbitClass("excluded", None, "vertex passed three or more times")
+
+
+@functools.cache
+def _encounter_class(encounters: int) -> OrbitClass:
     return OrbitClass("PhatN", encounters) if encounters else OrbitClass("P0", 0)
+
+
+# a weak reference to the last graph classified, its bond termini, and
+# whether some vertex has more than two bonds into it
+_last_termini: tuple[Callable[[], DirectedGraph | None], tuple[int, ...], bool] = (
+    lambda: None, (), False)
+
+
+def _termini(graph: DirectedGraph) -> tuple[tuple[int, ...], bool]:
+    """The terminus of each bond, and whether some vertex has more than two
+    bonds into it, for the last graph classified.
+
+    The table is found by the graph's identity and holds the graph weakly.
+    A dict keyed on the graph, as ``orbits._port_flags`` is, would hash
+    its whole bond tuple on every call: about 2.5 us at B=32, more than the
+    classification itself.
+    """
+    global _last_termini
+    held, termini, crowded = _last_termini
+    if held() is not graph:
+        termini = tuple(w for _, w in graph.bonds)
+        crowded = any(len(into) > 2 for into in graph.in_bonds)
+        _last_termini = (weakref.ref(graph), termini, crowded)
+    return termini, crowded
 
 
 @dataclass(frozen=True)
@@ -194,8 +231,9 @@ def exact_variance(graph: DirectedGraph, n: int) -> Fraction:
 
 
 # the last partner group c_gamma verified: its members in order, their
-# common bond list, and sum of weight_sign / 2^n over them
-_verified_group: tuple[tuple[PseudoOrbit, ...], list[int], Fraction] = ((), [], Fraction(0))
+# common bond list, and sum of weight_sign / 2^n over them and its negative
+_verified_group: tuple[tuple[PseudoOrbit, ...], list[int], Fraction, Fraction] = (
+    (), [], Fraction(0), Fraction(0))
 
 
 def c_gamma(
@@ -211,27 +249,31 @@ def c_gamma(
 
     A partner group is verified once: the last one checked is kept, and a
     call whose partners are the same objects in the same order reuses its
-    bond list and sum.  A caller that passes one group for each of its
-    members, as a cancellation audit does, so sorts each partner's bonds
-    once instead of once per member; a caller that passes each group once
-    neither gains nor loses.  Any other partners, a list changed in place
-    or a generator included, are checked in full.
+    bond list, its sum and the sum's negative, and only tests by identity
+    that the pseudo orbit is one of them.  A caller that passes one group
+    for each of its members, as a cancellation audit does, so sorts each
+    partner's bonds once instead of once per member and builds no
+    Fraction per call; a caller that passes each group once neither gains
+    nor loses.  Any other partners, a list changed in place or a generator
+    included, are checked in full.
     """
     global _verified_group
     group = tuple(partners)
     if not group:
         return Fraction(0)
-    members, bonds, total = _verified_group
+    members, bonds, total, negated = _verified_group
     if len(group) != len(members) or not all(map(operator.is_, group, members)):
         bonds = group[0].bonds
         if any(partner.bonds != bonds for partner in group[1:]):
             raise ValueError("partner set contains a different bond multiset")
         total = Fraction(sum(partner.weight_sign for partner in group), 2 ** len(bonds))
-        _verified_group = (group, bonds, total)
-    if not any(partner is pseudo_orbit for partner in group) and pseudo_orbit.bonds != bonds:
+        negated = -total
+        _verified_group = (group, bonds, total, negated)
+    if (not any(map(operator.is_, group, itertools.repeat(pseudo_orbit)))
+            and pseudo_orbit.bonds != bonds):
         raise ValueError("partner set contains a different bond multiset")
     sign = pseudo_orbit.weight_sign
-    return total if sign == 1 else -total if sign == -1 else sign * total
+    return total if sign == 1 else negated if sign == -1 else sign * total
 
 
 def diagonal_approximation(graph: DirectedGraph, n: int) -> Fraction:

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .orbits import _balanced_subsets, _in_out
+from .orbits import _balanced_subsets, _bond_ids, _in_out
 from .quantize import BondLengths, BondScattering
 
 DEFAULT_K_MAX = 1e5
@@ -290,10 +290,7 @@ def subset_contribution(
     subsets have a structurally zero minor and return (0.0, None).
     """
     graph = S.graph
-    subset_t = tuple(sorted({int(b) for b in subset}))
-    for b in subset_t:
-        if not 0 <= b < S.num_bonds:
-            raise ValueError(f"unknown bond id {b}")
+    subset_t = tuple(sorted(set(_bond_ids(graph, subset))))
     ins, outs = _in_out(graph, subset_t)
     if ins != outs:
         return 0.0, None

@@ -83,6 +83,13 @@ def random_graphs():
 
 
 @pytest.fixture(scope="session")
+def many_random_graphs():
+    """Twelve seeded random multigraphs on 4..8 vertices, some with
+    self-loops and some with parallel bonds."""
+    return [seeded_four_regular(s) for s in range(1, 13)]
+
+
+@pytest.fixture(scope="session")
 def small_graphs(binary6, debruijn8):
     """binary6, debruijn8 and two seeded random multigraphs with B=16, each
     with a self-loop and a pair of parallel bonds: small enough (B <= 16)

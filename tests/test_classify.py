@@ -1,7 +1,9 @@
 """Encounter classification, exact dyadic variance, and cancellation."""
 
+import gc
 import math
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -66,6 +68,22 @@ def test_higher_visits_on_three_in_graph():
     po = make_pseudo_orbit(graph, [(0,), (1,), (2,)])
     tag = classify_pseudo_orbit(graph, po)
     assert (tag.kind, tag.reason) == ("excluded", "vertex passed three or more times")
+
+
+def test_classification_follows_the_graph_it_is_given(binary6):
+    # classify keeps the termini of the last graph it saw: alternating
+    # graphs must rebuild them, and the table must not keep a graph alive
+    graph = DirectedGraph(1, ((0, 0),) * 3)
+    crowded = make_pseudo_orbit(graph, [(0,), (1,), (2,)])
+    p0 = make_pseudo_orbit(binary6, [(3, 7), (4, 8)])
+    for _ in range(2):
+        assert classify_pseudo_orbit(graph, crowded).kind == "excluded"
+        assert classify_pseudo_orbit(binary6, p0).kind == "P0"
+    assert classify_pseudo_orbit(graph, crowded).kind == "excluded"
+    held = weakref.ref(graph)
+    del graph
+    gc.collect()
+    assert held() is None
 
 
 def test_classification_kinds(binary6):

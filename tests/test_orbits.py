@@ -4,8 +4,10 @@ import dataclasses
 import gc
 import itertools
 import math
+import pickle
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -34,6 +36,7 @@ def test_canonical_orbit_rotation(debruijn8):
     # the 2<->5 two-cycle, entered at either bond
     assert canonical_orbit(debruijn8, (10, 5)) == ((5, 10), True)
     assert canonical_orbit(debruijn8, (5, 10)) == ((5, 10), True)
+    assert canonical_orbit(debruijn8, np.array([10, 5])) == ((5, 10), True)
 
 
 def test_canonical_orbit_detects_repetition(debruijn8):
@@ -64,6 +67,84 @@ def test_primitive_orbit_counts_match_necklaces(debruijn8):
 def test_primitive_orbits_smallest(debruijn8):
     orbits = primitive_orbits(debruijn8, 2)
     assert orbits == [(0,), (15,), (5, 10)]
+
+
+# every call would pass with int() in place of the check: 0.7, 0.2 and True
+# truncate to a valid bond id
+@pytest.mark.parametrize("call", [
+    lambda g: canonical_orbit(g, (0.7,)),
+    lambda g: canonical_orbit(g, (True,)),
+    lambda g: make_pseudo_orbit(g, [(0.7,)]),
+    lambda g: covers_of_subset(g, [0.2]),
+    lambda g: q.subset_contribution(q.build_bond_scattering(g), [0.2]),
+], ids=["canonical_orbit", "canonical_orbit-bool", "make_pseudo_orbit", "covers_of_subset",
+        "subset_contribution"])
+def test_fractional_bond_ids_are_refused(debruijn8, call):
+    with pytest.raises(ValueError, match="unknown bond id"):
+        call(debruijn8)
+
+
+def test_covers_refuse_an_unknown_bond(debruijn8):
+    with pytest.raises(ValueError, match="unknown bond id 99"):
+        covers_of_subset(debruijn8, [99])
+
+
+def test_primitive_orbits_refuse_a_negative_length(debruijn8):
+    assert primitive_orbits(debruijn8, 0) == []
+    with pytest.raises(ValueError, match="max_len must be nonnegative"):
+        primitive_orbits(debruijn8, -1)
+
+
+def _plain_walk(graph, max_len):
+    """The orbits and the steps of the unpruned walk that ``cap`` bounds:
+    from each start bond, every walk over bonds >= it of length up to
+    max_len, one step per follower >= the start, and a Lyndon check of
+    each walk that the start follows."""
+    followers = [graph.out_bonds[v] for _, v in graph.bonds]
+    found = []
+    steps = 0
+
+    def extend(start, walk):
+        nonlocal steps
+        for nxt in followers[walk[-1]]:
+            if nxt < start:
+                continue
+            steps += 1
+            if nxt == start and q.is_lyndon(walk):
+                found.append(tuple(walk))
+            if len(walk) < max_len:
+                walk.append(nxt)
+                extend(start, walk)
+                walk.pop()
+
+    for start in range(graph.num_bonds if max_len else 0):
+        extend(start, [start])
+    return sorted(found, key=lambda o: (len(o), o)), steps
+
+
+def test_cap_counts_the_plain_walk_exactly(many_random_graphs):
+    """The pruned walk finds the plain walk's orbits, finishes with a cap
+    of exactly its steps and gives up one step below."""
+    graphs = [q.build_binary_graph(p, r) for p, r in ((1, 1), (1, 2), (1, 3), (1, 4), (3, 1),
+                                                      (3, 2), (5, 1))]
+    graphs += [q.DirectedGraph(1, ((0, 0),) * 3), *many_random_graphs]
+    for graph in graphs:
+        for max_len in range(11):
+            expected, steps = _plain_walk(graph, max_len)
+            assert primitive_orbits(graph, max_len, cap=steps) == expected, (graph, max_len)
+            if steps:
+                with pytest.raises(EnumerationCapExceeded,
+                                   match=f"exceeded {steps - 1} steps at max_len={max_len}"):
+                    primitive_orbits(graph, max_len, cap=steps - 1)
+
+
+def test_primitive_orbits_scale_with_the_bonds_reached():
+    # B = 8192, where work of order B per start bond takes about a minute
+    graph = q.build_binary_graph(1, 12)
+    start = time.perf_counter()
+    found = primitive_orbits(graph, 3)
+    assert time.perf_counter() - start < 1.0
+    assert Counter(map(len, found)) == {1: 2, 2: 1, 3: 2}
 
 
 def test_primitive_orbits_cap(debruijn8):
@@ -108,6 +189,34 @@ def test_make_pseudo_orbit_canonicalizes(debruijn8):
     assert po.bonds == [5, 10, 15]
     # n and m are derived from the member orbits, never stored beside them
     assert [f.name for f in dataclasses.fields(po)] == ["orbits", "amp_sign"]
+
+
+def test_pseudo_orbit_is_slotted_and_keeps_its_value(debruijn8):
+    po = make_pseudo_orbit(debruijn8, [(10, 5), (15,)])
+    twin = q.PseudoOrbit(((5, 10), (15,)), po.amp_sign)
+    assert twin == po and hash(twin) == hash(po) == hash((po.orbits, po.amp_sign))
+    assert q.PseudoOrbit(po.orbits, -po.amp_sign) != po
+    copy = pickle.loads(pickle.dumps(po))
+    assert copy == po and hash(copy) == hash(po)
+    assert not hasattr(po, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        po.amp_sign = -po.amp_sign
+
+
+def test_general_pseudo_orbits_stay_small(debruijn16):
+    # 32 768 pseudo orbits: 7.3 MB stay allocated with a __dict__ on each
+    # and the recursion's lists kept alive until a collection, 5.2 MB now
+    enumerate_pseudo_orbits(debruijn16, 2, mode="general")  # per-graph tables
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pseudo_orbits = enumerate_pseudo_orbits(debruijn16, 16, mode="general")
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(pseudo_orbits) == 32768
+    assert retained < 6 * 10**6
 
 
 def test_bonds_keep_multiplicity(debruijn8):
