@@ -24,6 +24,11 @@ n -> B - n.  The number |P^n| of all primitive pseudo orbits, repeated
 bonds included, is [x^n] of det(I - x^2 A) / det(I - xA); it gives the
 general-mode census and the diagonal approximation.  Only JSONL dumps and
 partner sums enumerate.
+
+The module keeps no state between calls.  Classification reads bond
+termini from the graph's cached tables, and :func:`c_gamma` reads the
+signed sum that each ``orbits.PartnerGroup`` carries from
+``group_by_bond_multiset``.
 """
 
 from __future__ import annotations
@@ -32,14 +37,13 @@ import functools
 import itertools
 import json
 import operator
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Iterable, Sequence
 
 from .graphs import DirectedGraph
-from .orbits import PseudoOrbit, balanced_counts
+from .orbits import PartnerGroup, PseudoOrbit, balanced_counts, group_by_bond_multiset
 
 WALK_BIT_LIMIT = 2**37  # bits pseudo_orbit_counts may move through its ints
 COUNT_BIT_LIMIT = 2**31  # and bits they may hold
@@ -72,10 +76,9 @@ def classify_pseudo_orbit(graph: DirectedGraph, pseudo_orbit: PseudoOrbit) -> Or
     bonds = list(itertools.chain.from_iterable(pseudo_orbit.orbits))
     if len(set(bonds)) < len(bonds):
         return _REPEATED_BOND
-    termini, crowded = _termini(graph)
-    ends = list(map(termini.__getitem__, bonds))
+    ends = list(map(graph.termini.__getitem__, bonds))
     # distinct bonds pass a vertex at most as often as bonds enter it
-    if crowded and max(Counter(ends).values(), default=0) >= 3:
+    if graph.crowded and max(Counter(ends).values(), default=0) >= 3:
         return _THIRD_PASSAGE
     # every visited vertex is passed once or twice, so the surplus of
     # passages over vertices is the number passed twice
@@ -90,30 +93,6 @@ _THIRD_PASSAGE = OrbitClass("excluded", None, "vertex passed three or more times
 @functools.cache
 def _encounter_class(encounters: int) -> OrbitClass:
     return OrbitClass("PhatN", encounters) if encounters else OrbitClass("P0", 0)
-
-
-# a weak reference to the last graph classified, its bond termini, and
-# whether some vertex has more than two bonds into it
-_last_termini: tuple[Callable[[], DirectedGraph | None], tuple[int, ...], bool] = (
-    lambda: None, (), False)
-
-
-def _termini(graph: DirectedGraph) -> tuple[tuple[int, ...], bool]:
-    """The terminus of each bond, and whether some vertex has more than two
-    bonds into it, for the last graph classified.
-
-    The table is found by the graph's identity and holds the graph weakly.
-    A dict keyed on the graph, as ``orbits._port_flags`` is, would hash
-    its whole bond tuple on every call: about 2.5 us at B=32, more than the
-    classification itself.
-    """
-    global _last_termini
-    held, termini, crowded = _last_termini
-    if held() is not graph:
-        termini = tuple(w for _, w in graph.bonds)
-        crowded = any(len(into) > 2 for into in graph.in_bonds)
-        _last_termini = (weakref.ref(graph), termini, crowded)
-    return termini, crowded
 
 
 @dataclass(frozen=True)
@@ -230,12 +209,6 @@ def exact_variance(graph: DirectedGraph, n: int) -> Fraction:
     return variance(graph, [n])[0]
 
 
-# the last partner group c_gamma verified: its members in order, their
-# common bond list, and sum of weight_sign / 2^n over them and its negative
-_verified_group: tuple[tuple[PseudoOrbit, ...], list[int], Fraction, Fraction] = (
-    (), [], Fraction(0), Fraction(0))
-
-
 def c_gamma(
     graph: DirectedGraph, pseudo_orbit: PseudoOrbit, partners: Iterable[PseudoOrbit]
 ) -> Fraction:
@@ -247,31 +220,24 @@ def c_gamma(
     pseudo orbits and 0 for repeated-bond ones.  Every partner, and the
     pseudo orbit, must share one :attr:`PseudoOrbit.bonds` list.
 
-    A partner group is verified once: the last one checked is kept, and a
-    call whose partners are the same objects in the same order reuses its
-    bond list, its sum and the sum's negative, and only tests by identity
-    that the pseudo orbit is one of them.  A caller that passes one group
-    for each of its members, as a cancellation audit does, so sorts each
-    partner's bonds once instead of once per member and builds no
-    Fraction per call; a caller that passes each group once neither gains
-    nor loses.  Any other partners, a list changed in place or a generator
-    included, are checked in full.
+    A :class:`~qgspectra.orbits.PartnerGroup` from
+    ``group_by_bond_multiset`` carries its checked sum, so a cancellation
+    audit that passes each group once per member sorts no member's bonds
+    here: a member is found by identity, and only a pseudo orbit outside
+    the group has its bonds compared with the group's.  Any other
+    partners are grouped in full on every call.
     """
-    global _verified_group
-    group = tuple(partners)
-    if not group:
-        return Fraction(0)
-    members, bonds, total, negated = _verified_group
-    if len(group) != len(members) or not all(map(operator.is_, group, members)):
-        bonds = group[0].bonds
-        if any(partner.bonds != bonds for partner in group[1:]):
+    if not isinstance(partners, PartnerGroup):
+        groups = list(group_by_bond_multiset(partners).values())
+        if not groups:
+            return Fraction(0)
+        if len(groups) > 1:
             raise ValueError("partner set contains a different bond multiset")
-        total = Fraction(sum(partner.weight_sign for partner in group), 2 ** len(bonds))
-        negated = -total
-        _verified_group = (group, bonds, total, negated)
-    if (not any(map(operator.is_, group, itertools.repeat(pseudo_orbit)))
-            and pseudo_orbit.bonds != bonds):
+        [partners] = groups
+    if (not any(map(operator.is_, partners, itertools.repeat(pseudo_orbit)))
+            and pseudo_orbit.bonds != partners[0].bonds):
         raise ValueError("partner set contains a different bond multiset")
+    total, negated = partners.sums
     sign = pseudo_orbit.weight_sign
     return total if sign == 1 else negated if sign == -1 else sign * total
 

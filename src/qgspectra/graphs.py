@@ -5,7 +5,10 @@ terminus)``; the bond list is kept in canonical order (sorted by origin,
 then terminus, with parallel copies adjacent) and bond ids are positions
 in that list.  Every matrix, orbit, and subset downstream is indexed by
 these ids, so the ordering is part of the data contract, and so are the
-port slots (``DirectedGraph.in_bonds`` and ``out_bonds``).
+port slots (``DirectedGraph.in_bonds`` and ``out_bonds``).  Tables derived
+from the bonds, such as each bond's terminus and port-slot flags, are
+cached properties of the frozen graph: built on first use, read by every
+module, and dropped with the graph.
 
 A graph file is JSON, ``{"V": int, "bonds": [[u, v], ...]}`` in canonical
 bond order with an optional ``"lengths": [...]``; ``V`` and the vertex ids
@@ -89,6 +92,26 @@ class DirectedGraph:
     def out_bonds(self) -> tuple[tuple[int, ...], ...]:
         """Ids of the bonds starting at each vertex, in ascending order."""
         return self._ports(0)
+
+    @cached_property
+    def termini(self) -> tuple[int, ...]:
+        """The terminus of each bond, by bond id."""
+        return tuple(w for _, w in self.bonds)
+
+    @cached_property
+    def crowded(self) -> bool:
+        """Whether some vertex has more than two bonds into it."""
+        return any(len(into) > 2 for into in self.in_bonds)
+
+    @cached_property
+    def second_slots(self) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+        """Per bond: does it sit in the second in-port slot at its terminus,
+        and in the second out-port slot at its origin?  A step b -> c is
+        negative exactly when b's first flag and c's second are set."""
+        return (
+            tuple(self.in_bonds[w].index(b) == 1 for b, (_, w) in enumerate(self.bonds)),
+            tuple(self.out_bonds[u].index(b) == 1 for b, (u, _) in enumerate(self.bonds)),
+        )
 
     def _ports(self, end: int) -> tuple[tuple[int, ...], ...]:
         slots: list[list[int]] = [[] for _ in range(self.vertex_count)]

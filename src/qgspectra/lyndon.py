@@ -16,6 +16,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from .graphs import _integer
+
 Word = tuple[int, ...]
 
 
@@ -72,11 +74,20 @@ class LyndonTuple:
         return -1 if self.index % 2 else 1
 
 
+def _whole(value, what: str) -> int:
+    # graphs._integer's rule: int() would read 2.9 as 2 and '1' as a letter
+    try:
+        return _integer(value)
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {value!r}") from None
+
+
 def _normalize_content(content) -> Counter:
     if isinstance(content, Mapping):
-        counts = Counter({int(a): int(c) for a, c in content.items()})
+        counts = Counter({_whole(a, "letters"): _whole(c, "letter counts")
+                          for a, c in content.items()})
     else:
-        counts = Counter(int(a) for a in content)
+        counts = Counter(_whole(a, "letters") for a in content)
     if any(c < 0 for c in counts.values()):
         raise ValueError("letter counts must be nonnegative")
     counts = +counts  # drop zero-count letters

@@ -25,6 +25,7 @@ import operator
 import weakref
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import DirectedGraph, _integer
@@ -113,12 +114,13 @@ class PseudoOrbit:
 
         Two pseudo orbits share a bond multiset exactly when these lists
         are equal, and a list is several times cheaper to build than the
-        (bond, multiplicity) pairs.  :meth:`bond_multiset`,
-        :func:`group_by_bond_multiset` (once per pseudo orbit) and
-        ``classify.c_gamma`` (once per partner group checked) read it.  It
-        is not stored: a tuple of 16 bonds takes 168 B, three times the
-        slotted instance, and 5.5 MB over the 32 768 pseudo orbits of the
-        B=32 audit at n = 16.
+        (bond, multiplicity) pairs.  :meth:`bond_multiset` reads it, and
+        ``classify.c_gamma`` for a pseudo orbit that is not a member of
+        the :class:`PartnerGroup` it is given; :func:`group_by_bond_multiset`
+        sorts each pseudo orbit's bonds once itself.  It is not stored: a
+        tuple of 16 bonds takes 168 B, three times the slotted instance,
+        and 5.5 MB over the 32 768 pseudo orbits of the B=32 audit at
+        n = 16.
         """
         return sorted(itertools.chain.from_iterable(self.orbits))
 
@@ -145,30 +147,9 @@ def _multiset(sorted_bonds: Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple(Counter(sorted_bonds).items())
 
 
-# one port-flag table per graph, dropped with the graph (see _port_flags)
-_PORT_FLAGS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _port_flags(graph: DirectedGraph) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
-    """Per bond: does it sit in the second in-port slot at its terminus,
-    and in the second out-port slot at its origin?
-
-    A step b -> c is negative (see ``quantize.transition_sign``) exactly
-    when b's first flag and c's second are both set.  Built once per graph
-    and held like :func:`_vertex_steps`' table.
-    """
-    flags = _PORT_FLAGS.get(graph)
-    if flags is None:
-        flags = _PORT_FLAGS[graph] = (
-            tuple(graph.in_bonds[w].index(b) == 1 for b, (_, w) in enumerate(graph.bonds)),
-            tuple(graph.out_bonds[u].index(b) == 1 for b, (u, _) in enumerate(graph.bonds)),
-        )
-    return flags
-
-
 def _orbit_signs(graph: DirectedGraph, orbits: Iterable[Sequence[int]]) -> list[int]:
     """The product of the transition signs around each closed walk."""
-    second_in, second_out = _port_flags(graph)
+    second_in, second_out = graph.second_slots
     signs = []
     for orbit in orbits:
         negative = sum(second_in[b] and second_out[c]
@@ -606,18 +587,57 @@ def enumerate_pseudo_orbits(
     raise ValueError(f"unknown mode {mode!r}")
 
 
+class PartnerGroup(tuple):
+    """The pseudo orbits that share one bond multiset, as an immutable
+    tuple, and ``sums``, the pair (C, -C) with C = sum of weight_sign / 2^n
+    over them.
+
+    Only :func:`group_by_bond_multiset` builds one, from the pseudo orbits
+    it keyed by their sorted bonds, so ``classify.c_gamma`` can read C
+    without checking the members again.  A tuple subclass keeps its
+    attributes in a ``__dict__`` (184 B per group), so the pair is its one
+    attribute.
+    """
+
+    def __new__(cls, members: Iterable[PseudoOrbit], sums: tuple[Fraction, Fraction]):
+        group = super().__new__(cls, members)
+        group.sums = sums
+        return group
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self), self.sums
+
+
+# the sums of every group whose signs cancel: the one Fraction(0) that
+# c_gamma returns for each of their members
+_CANCELLED = (Fraction(0),) * 2
+
+
 def group_by_bond_multiset(
     pseudo_orbits: Iterable[PseudoOrbit],
-) -> dict[tuple[tuple[int, int], ...], list[PseudoOrbit]]:
+) -> dict[tuple[tuple[int, int], ...], PartnerGroup]:
     """Partition pseudo orbits by bond multiset.
 
     With incommensurate bond lengths, pseudo orbits contribute coherently
     to variance sums exactly when their bond multisets coincide, so these
-    groups are the partner classes.  Pseudo orbits are grouped by their
-    ascending bond tuple, and each group's (bond, multiplicity) key is
-    built once.
+    groups are the partner classes.  The keys are the sorted (bond,
+    multiplicity) pairs, in order of first appearance, and each group
+    holds its members in the order given.  One pass sorts each pseudo
+    orbit's bonds once; each group's key and signed sum are then built
+    once, and equal pairs are shared between keys.
     """
-    groups: dict[tuple[int, ...], list[PseudoOrbit]] = {}
+    members: dict[tuple[int, ...], list[PseudoOrbit]] = {}
     for po in pseudo_orbits:
-        groups.setdefault(tuple(po.bonds), []).append(po)
-    return {_multiset(bonds): members for bonds, members in groups.items()}
+        members.setdefault(tuple(sorted(itertools.chain.from_iterable(po.orbits))), []).append(po)
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}
+    groups = {}
+    for bonds, group in members.items():
+        key = _multiset(bonds)
+        signed = sum(po.weight_sign for po in group)
+        if signed:
+            total = Fraction(signed, 2 ** len(bonds))
+            sums = (total, -total)
+        else:
+            sums = _CANCELLED
+        groups[tuple(map(pairs.setdefault, key, key))] = PartnerGroup(group, sums)
+    return groups

@@ -85,3 +85,21 @@ def test_cli_imports_no_private_name():
         if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert private == []
+
+
+def test_no_module_level_caches():
+    """Graph-derived tables live on the graph: no module rebinds a global,
+    and the one module-level weak dict is the vertex-step table, which a
+    pass looks up once."""
+    rebound, weak = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        rebound += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Global)]
+        for node in tree.body:
+            if (isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value
+                    and "WeakKeyDictionary" in ast.unparse(node.value)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                weak += [f"{path.stem}.{t.id}" for t in targets]
+    assert rebound == []
+    assert weak == ["orbits._STEP_TABLES"]

@@ -328,9 +328,9 @@ def test_c_gamma_over_every_general_pseudo_orbit(debruijn8, debruijn16):
 
 
 def test_c_gamma_rechecks_a_changed_group(binary6):
-    """A group verified once is reused only for the same partner objects in
-    the same order: anything else is checked in full, right after a call
-    that reused the verified group, too."""
+    """Partners that are not a partner group are checked in full on every
+    call: a list changed in place, a generator and an outsider, right
+    after calls with the same list, too."""
     family = covers_of_subset(binary6, (0, 1, 3, 6))
     group = list(family.covers)
     a, b = group
@@ -354,6 +354,25 @@ def test_c_gamma_rechecks_a_changed_group(binary6):
     with pytest.raises(ValueError, match="different bond multiset"):
         q.c_gamma(binary6, foreign, group)
     assert q.c_gamma(binary6, foreign, []) == 0
+
+
+def test_c_gamma_refuses_a_foreign_pseudo_orbit_with_a_partner_group(binary6):
+    groups = group_by_bond_multiset(enumerate_pseudo_orbits(binary6, 4, mode="general"))
+    group = groups[((0, 1), (1, 1), (3, 1), (6, 1))]
+    a = group[0]
+    foreign = make_pseudo_orbit(binary6, [(11,)])
+    with pytest.raises(ValueError, match="different bond multiset"):
+        q.c_gamma(binary6, foreign, group)
+    # an outsider with the group's bond multiset gets the group's value
+    twin = PseudoOrbit(orbits=a.orbits, amp_sign=-a.amp_sign)
+    assert q.c_gamma(binary6, twin, group) == -q.c_gamma(binary6, a, group) == -Fraction(1, 8)
+
+
+def test_c_gamma_of_a_partner_group_equals_its_list(debruijn8):
+    groups = group_by_bond_multiset(enumerate_pseudo_orbits(debruijn8, 8, mode="general"))
+    for group in groups.values():
+        for po in group:
+            assert q.c_gamma(debruijn8, po, group) == q.c_gamma(debruijn8, po, list(group))
 
 
 def test_c_gamma_cancellation_at_n5(binary6):

@@ -168,6 +168,19 @@ def test_tuples_reject_bad_content():
         lyndon_tuples({1: -1})
 
 
+@pytest.mark.parametrize("content, message", [
+    ({1: 2.9}, "letter counts must be integers"),
+    ([1.7, 2], "letters must be integers"),
+    (["1", 2], "letters must be integers"),
+])
+def test_content_is_refused_not_truncated(content, message):
+    # int() would read {1: 2.9} as {1: 2} and [1.7, 2] as [1, 2]
+    with pytest.raises(ValueError, match=message):
+        tuple_parity_census(content)
+    with pytest.raises(ValueError, match=message):
+        lyndon_tuples(content)
+
+
 def test_parity_census_balance_exhaustive():
     """Even and odd tuples pair off whenever the multiset mixes letters."""
     for total in range(2, 9):

@@ -8,7 +8,9 @@ import pickle
 import random
 import time
 import tracemalloc
+import weakref
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -359,17 +361,22 @@ def test_vertex_steps_built_once_per_graph():
 
 
 def test_vertex_steps_die_with_their_graph():
+    """The step table is held weakly, and the termini and port-slot tables
+    live on the graph, so nothing outside the graph keeps them alive."""
     gc.collect()
-    tables = (orbits._STEP_TABLES, orbits._PORT_FLAGS)
-    before = [len(table) for table in tables]
-    # a graph no other test builds, so that its entries are its own
+    before = len(orbits._STEP_TABLES)
+    # a graph no other test builds, so that its entry is its own
     graph = q.orient_four_regular([(0, 1), (0, 1), (1, 2), (1, 2), (2, 0), (2, 0)])
     orbits._vertex_steps(graph)
     orbits._orbit_signs(graph, [(0, 2)])
-    assert [len(table) for table in tables] == [n + 1 for n in before]
+    q.classify_pseudo_orbit(graph, q.PseudoOrbit(((0, 2),), 1))
+    assert len(orbits._STEP_TABLES) == before + 1
+    assert {"termini", "crowded", "second_slots"} <= vars(graph).keys()
+    held = weakref.ref(graph)
     del graph
     gc.collect()
-    assert [len(table) for table in tables] == before
+    assert held() is None
+    assert len(orbits._STEP_TABLES) == before
 
 
 def _rescanned_elimination_order(graph):
@@ -536,7 +543,7 @@ def test_group_by_bond_multiset(binary6, debruijn8):
     groups = group_by_bond_multiset(pos)
     assert len(groups) == 62
     assert any(m > 1 for key in groups for _bond, m in key)
-    assert list(groups.items()) == list(reference.items())
+    assert [(key, list(group)) for key, group in groups.items()] == list(reference.items())
 
 
 def test_group_by_bond_multiset_matches_multiset_reference(family_graph):
@@ -551,7 +558,37 @@ def test_group_by_bond_multiset_matches_multiset_reference(family_graph):
                 key = tuple(sorted(Counter(b for orbit in po.orbits for b in orbit).items()))
                 assert po.bond_multiset() == key
                 reference.setdefault(key, []).append(po)
-            assert list(group_by_bond_multiset(ordered).items()) == list(reference.items())
+            groups = group_by_bond_multiset(ordered)
+            assert [(key, list(group)) for key, group in groups.items()] == list(reference.items())
+
+
+def test_partner_group_is_immutable(binary6):
+    groups = group_by_bond_multiset(enumerate_pseudo_orbits(binary6, 4, mode="general"))
+    group = groups[((0, 1), (1, 1), (3, 1), (6, 1))]
+    assert isinstance(group, tuple) and len(group) == 2
+    with pytest.raises(TypeError):
+        group[0] = group[1]
+    # C = sum of weight_sign / 2^n: both covers of the subset carry one sign
+    assert group.sums == (Fraction(group[0].weight_sign, 8), Fraction(-group[0].weight_sign, 8))
+    copy = pickle.loads(pickle.dumps(group))
+    assert copy == group and copy.sums == group.sums
+
+
+def test_partner_groups_stay_small(debruijn16):
+    # the 6 218 groups of 32 768 pseudo orbits and every partner sum: 7.8 MB
+    # stay allocated with list groups and a Fraction per call, 3.8 MB now
+    pseudo_orbits = enumerate_pseudo_orbits(debruijn16, 16, mode="general")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        groups = group_by_bond_multiset(pseudo_orbits)
+        sums = [[q.c_gamma(debruijn16, po, group) for po in group] for group in groups.values()]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (len(groups), sum(map(len, sums))) == (6218, 32768)
+    assert retained < 6 * 10**6
 
 
 def test_default_cap_value():
