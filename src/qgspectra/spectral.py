@@ -284,7 +284,8 @@ def mc_variance(
 def subset_contribution(
     S: BondScattering, subset: Iterable[int]
 ) -> tuple[float, int | None]:
-    """(|det S_I|^2, N) for one bond subset I.
+    """(|det S_I|^2, N) for one bond subset I, the minor taken by the
+    oracle's :func:`_minor_power` (1.0 for the empty subset).
 
     N counts the vertices with two subset bonds through them.  Unbalanced
     subsets have a structurally zero minor and return (0.0, None).
@@ -295,11 +296,7 @@ def subset_contribution(
     if ins != outs:
         return 0.0, None
     N = sum(1 for c in ins.values() if c == 2)
-    if not subset_t:
-        return 1.0, 0
-    idx = np.array(subset_t)
-    minor = S.matrix[np.ix_(idx, idx)]
-    return float(abs(np.linalg.det(minor)) ** 2), N
+    return _minor_power(S.matrix, [subset_t]), N
 
 
 def minor_sum_variance(S: BondScattering, n: int) -> float:
@@ -331,6 +328,6 @@ def _minor_power(matrix: np.ndarray, subsets: list[tuple[int, ...]]) -> float:
     """sum |det S_I|^2 over equal-size subsets I, in one batched call."""
     if not subsets:
         return 0.0
-    idx = np.array(subsets)
+    idx = np.array(subsets, dtype=np.intp)  # an empty subset is a 0x0 minor, det 1
     minors = matrix[idx[:, :, np.newaxis], idx[:, np.newaxis, :]]
     return float(np.sum(np.abs(np.linalg.det(minors)) ** 2))

@@ -1,6 +1,7 @@
 """The package namespace: every exported name resolves, none twice; no
-module imports a name it never uses; every private helper is used; and the
-CLI imports no private name."""
+module imports a name it never uses; every private helper is used; the
+CLI imports no private name; and each module imports only the package
+modules below it."""
 
 import ast
 from pathlib import Path
@@ -103,3 +104,51 @@ def test_no_module_level_caches():
                 weak += [f"{path.stem}.{t.id}" for t in targets]
     assert rebound == []
     assert weak == ["orbits._STEP_TABLES"]
+
+
+# the package modules each module may import; None: any of them
+LAYERS = {
+    "graphs": set(),
+    "lyndon": {"graphs"},
+    "orbits": {"graphs"},
+    "quantize": {"graphs"},
+    "classify": {"graphs", "orbits"},
+    "spectral": {"orbits", "quantize"},
+    "cli": None,
+    "__init__": None,
+}
+
+
+def _package_imports(path: Path, modules: set[str]) -> set[str]:
+    """The package modules that ``path`` imports, anywhere in it; a name
+    imported from the package itself counts as ``__init__`` unless it is a
+    module."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            parts = [alias.name.split(".") for alias in node.names]
+            found.update(p[1] if len(p) > 1 else "__init__" for p in parts if p[0] == "qgspectra")
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:  # relative: from .orbits, or from . import orbits
+                parts = (node.module or "").split(".")
+            elif (node.module or "").split(".")[0] == "qgspectra":
+                parts = node.module.split(".")[1:]
+            else:
+                continue
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:
+                found.update(alias.name if alias.name in modules else "__init__"
+                             for alias in node.names)
+    return found
+
+
+def test_module_layering():
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    assert set(LAYERS) == modules
+    breaches = [
+        f"{module} -> {name}"
+        for module, allowed in sorted(LAYERS.items()) if allowed is not None
+        for name in sorted(_package_imports(PACKAGE / f"{module}.py", modules) - allowed)
+    ]
+    assert breaches == []

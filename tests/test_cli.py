@@ -20,6 +20,7 @@ from qgspectra.cli import (
     EXIT_CONFIG,
     EXIT_MC_DIVERGED,
     EXIT_OK,
+    EXIT_ORACLE_MISMATCH,
     EXIT_TABLE_MISMATCH,
     main,
 )
@@ -315,6 +316,7 @@ _GOOD_LENGTHS = [1 + b / 16 for b in range(12)]
     ([-1.5, *_GOOD_LENGTHS[1:]], "lengths must be strictly positive"),
     ([1.5, 1.5, *_GOOD_LENGTHS[2:]], "lengths must be pairwise distinct"),
     (_GOOD_LENGTHS[1:], "stored lengths do not match the bond count"),
+    ([*_GOOD_LENGTHS[:-1], True], "lengths must be a vector of numbers, got bool entries"),
 ])
 def test_malformed_stored_lengths_exit_config(tmp_path, capsys, binary6, stored):
     # every command that reads a graph file refuses bad stored lengths at
@@ -430,6 +432,31 @@ def test_report_table_reference_comparison(tmp_path, capsys):
     _write_reference(bad, "10")
     assert main(base + ["--expect", str(bad)]) == EXIT_TABLE_MISMATCH
     assert capsys.readouterr().err == "mismatch: n=4 p0: computed 6, reference 10\n"
+
+
+def test_report_table_reference_row_without_a_computed_row(tmp_path, capsys):
+    ref = tmp_path / "ref.csv"
+    ref.write_text("n,p0\n2,3\n9,1\n")
+    assert main(["report", "table", "--p", "3", "--r", "1", "--n-max", "2", "--samples", "500",
+                 "--mc-tol", "1", "--out", str(tmp_path / "t.csv"),
+                 "--expect", str(ref)]) == EXIT_TABLE_MISMATCH
+    assert capsys.readouterr().err == "mismatch: reference row n=9 has no computed counterpart\n"
+
+
+def test_report_table_oracle_mismatch_exit(tmp_path, monkeypatch):
+    # an oracle 1e-9 off the exact column trips the 1e-12 gate; the table
+    # is still written
+    from qgspectra import cli
+
+    oracle = cli.minor_sum_variance
+    monkeypatch.setattr(cli, "minor_sum_variance", lambda S, n: oracle(S, n) + 1e-9)
+    out = tmp_path / "t.csv"
+    assert main(["report", "table", "--p", "3", "--r", "1", "--n-max", "4", "--samples", "500",
+                 "--mc-tol", "1", "--out", str(out)]) == EXIT_ORACLE_MISMATCH
+    rows = _read_csv(out)
+    assert [row["n"] for row in rows] == ["0", "1", "2", "3", "4"]
+    assert all(float(row["oracle"]) == pytest.approx(float(row["exact"]) + 1e-9, abs=1e-12)
+               for row in rows)
 
 
 def test_report_table_reference_checks_absent_phat_columns(tmp_path, capsys):

@@ -168,6 +168,13 @@ def test_tuples_reject_bad_content():
         lyndon_tuples({1: -1})
 
 
+def test_parity_census_refuses_empty_content():
+    # it tallies lyndon_tuples, which has no tuple to offer for no letters
+    for content in ({}, [], {1: 0}):
+        with pytest.raises(ValueError, match="content must be a nonempty multiset"):
+            tuple_parity_census(content)
+
+
 @pytest.mark.parametrize("content, message", [
     ({1: 2.9}, "letter counts must be integers"),
     ([1.7, 2], "letters must be integers"),

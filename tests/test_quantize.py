@@ -90,7 +90,9 @@ def test_bond_lengths_validation():
         BondLengths(values=np.array([]))
     with pytest.raises(ValueError, match="finite"):
         BondLengths(values=np.array([1.0, np.inf]))
-    for stored in ({"a": 1}, [[1.0], [1.1, 1.2]], ["1.0", "1.5"], [None, 1.5]):
+    # numpy would read a bool among numbers as a length of 1.0 or 0.0
+    for stored in ({"a": 1}, [[1.0], [1.1, 1.2]], ["1.0", "1.5"], [None, 1.5], [1.5, True],
+                   [2.5, np.False_, 3.5]):
         with pytest.raises(ValueError, match="vector of numbers"):
             BondLengths(values=stored)
     lengths = BondLengths(values=np.array([1.0, 1.5]))

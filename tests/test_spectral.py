@@ -10,6 +10,7 @@ import pytest
 
 import qgspectra as q
 from qgspectra import spectral
+from qgspectra.cli import ORACLE_TOL
 from qgspectra.quantize import BondScattering, evolution_operator
 from qgspectra.spectral import (
     CoefficientVector,
@@ -328,6 +329,15 @@ def test_minor_sum_spot_checks_debruijn8(debruijn8, scattering8):
         minor_sum_variance(scattering8, 17)
 
 
+def test_minor_sum_flushes_full_blocks(debruijn8, scattering8, monkeypatch):
+    # 64-entry blocks hold at most 16 minors (n = 2), one from n = 8 on,
+    # so the oracle flushes full blocks before the last, partial one
+    monkeypatch.setattr(spectral, "_STACK_ELEMENTS", 64)
+    exact = q.variance(debruijn8, range(17))
+    for n in range(17):
+        assert abs(minor_sum_variance(scattering8, n) - float(exact[n])) <= ORACLE_TOL, n
+
+
 def _every_minor_sum(S, n):
     """Reference: |det S_I|^2 summed over all C(B, n) subsets I, balanced
     or not, in one batched call."""
@@ -355,3 +365,36 @@ def test_minor_sum_reaches_b32(debruijn16):
     for n in range(17):
         oracle = minor_sum_variance(S, n)
         assert oracle == pytest.approx(float(q.exact_variance(debruijn16, n)), abs=1e-12)
+
+
+def _dyadic_grid_mean(graph):
+    """Mean of |a_n|^2 through the Monte Carlo stages over the grid
+    k_j = 2 pi j / M, j < M = 2^B, with bond lengths 2^b.
+
+    |a_n(k)|^2 is a trigonometric polynomial with integer frequencies
+    L_I - L_J, and the grid mean keeps the pairs with M | L_I - L_J.  With
+    these lengths every subset sum differs and lies below M, so only I = J
+    remain: the mean is the incommensurate limit, the exact variance.
+    """
+    S = q.build_bond_scattering(graph)
+    B = graph.num_bonds
+    M = 1 << B
+    lengths = 1 << np.arange(B, dtype=np.int64)
+    rows = spectral._STACK_ELEMENTS // (B * B)
+    total = np.zeros(B + 1)
+    for start in range(0, M, rows):
+        j = np.arange(start, min(start + rows, M), dtype=np.int64)
+        phases = np.exp(2j * np.pi * ((j[:, np.newaxis] * lengths) % M) / M)
+        U = S.matrix[np.newaxis, :, :] * phases[:, np.newaxis, :]
+        power = np.abs(_coefficients_from_eigenvalues(_unitary_eigenvalues(U))) ** 2
+        total += power.sum(axis=0)
+    return total / M
+
+
+@pytest.mark.parametrize("p, r", [(3, 1), (1, 3)])
+def test_mc_stages_give_the_variance_on_a_dyadic_grid(p, r):
+    """The phases, Cayley eigenvalues and coefficient expansion, checked to
+    rounding rather than to a few standard errors (B = 12 and 16)."""
+    graph = q.build_binary_graph(p, r)
+    exact = np.array([float(v) for v in q.variance(graph, range(graph.num_bonds + 1))])
+    assert np.max(np.abs(_dyadic_grid_mean(graph) - exact)) <= 1e-12
