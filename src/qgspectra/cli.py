@@ -36,15 +36,17 @@ from .classify import (
 )
 from .classify import class_counts, exact_variance  # noqa: F401 (bench/worker.py patches both)
 from .graphs import (
+    BondLengths,
     DirectedGraph,
     build_binary_graph,
     load_graph,
     read_graph,
     save_graph,
+    stored_lengths,
     validate_graph,
 )
 from .orbits import DEFAULT_CAP, EnumerationCapExceeded, balanced_counts, enumerate_pseudo_orbits
-from .quantize import BondLengths, build_bond_scattering, sample_bond_lengths
+from .quantize import build_bond_scattering, sample_bond_lengths
 from .spectral import DEFAULT_K_MAX, mc_variance, minor_sum_variance
 
 EXIT_OK = 0
@@ -72,23 +74,11 @@ def graph_sha256(graph: DirectedGraph) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _stored_lengths(graph: DirectedGraph, stored) -> BondLengths | None:
-    """The ``"lengths"`` entry of a graph file as checked bond lengths
-    (None if the file stores none); raises ValueError if they are bad."""
-    if stored is None:
-        return None
-    lengths = BondLengths(values=stored)
-    if len(lengths) != graph.num_bonds:
-        raise ValueError("stored lengths do not match the bond count")
-    return lengths
-
-
 def _resolve_graph(args) -> tuple[DirectedGraph, BondLengths | None]:
     """The graph, with the lengths stored in --graph-file (None if none),
     checked at load so that every command refuses bad ones."""
     if args.graph_file:
-        graph, stored = load_graph(args.graph_file)
-        return graph, _stored_lengths(graph, stored)
+        return load_graph(args.graph_file)
     if args.p is not None and args.r is not None:
         return build_binary_graph(args.p, args.r), None
     raise ValueError("provide --graph-file, or both --p and --r")
@@ -162,7 +152,7 @@ def cmd_graph_validate(args) -> int:
     if list(graph.bonds) != sorted(graph.bonds):
         problems.append("bond list is not in canonical (origin, terminus) order")
     try:
-        _stored_lengths(graph, stored)
+        stored_lengths(graph, stored)
     except ValueError as exc:
         problems.append(str(exc))
     payload = {

@@ -6,14 +6,14 @@ then terminus, with parallel copies adjacent) and bond ids are positions
 in that list.  Every matrix, orbit, and subset downstream is indexed by
 these ids, so the ordering is part of the data contract, and so are the
 port slots (``DirectedGraph.in_bonds`` and ``out_bonds``).  Tables derived
-from the bonds, such as each bond's terminus and port-slot flags, are
-cached properties of the frozen graph: built on first use, read by every
-module, and dropped with the graph.
+from the bonds, such as each bond's terminus, port faults and port-slot
+flags, are cached properties of the frozen graph: built on first use, read
+by every module, and dropped with the graph.
 
 A graph file is JSON, ``{"V": int, "bonds": [[u, v], ...]}`` in canonical
 bond order with an optional ``"lengths": [...]``; ``V`` and the vertex ids
 are JSON integers (a float or boolean is refused, never truncated).  Only
-this module writes and reads it.
+this module writes and reads it; :func:`stored_lengths` checks the lengths.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 
 def _integer(value) -> int:
@@ -104,6 +106,15 @@ class DirectedGraph:
         return any(len(into) > 2 for into in self.in_bonds)
 
     @cached_property
+    def port_faults(self) -> tuple[str, ...]:
+        """One line, with its port counts, per vertex without two bonds in and two out."""
+        return tuple(
+            f"vertex {v} has {len(into)} incoming / {len(out)} outgoing bonds"
+            for v, (into, out) in enumerate(zip(self.in_bonds, self.out_bonds))
+            if (len(into), len(out)) != (2, 2)
+        )
+
+    @cached_property
     def second_slots(self) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
         """Per bond: does it sit in the second in-port slot at its terminus,
         and in the second out-port slot at its origin?  A step b -> c is
@@ -134,15 +145,8 @@ class ValidationReport:
 
 def validate_graph(graph: DirectedGraph) -> ValidationReport:
     """Check 2-in/2-out regularity, B = 2V, and strong connectivity."""
-    problems: list[str] = []
-    four_regular = True
-    for v in range(graph.vertex_count):
-        n_in, n_out = len(graph.in_bonds[v]), len(graph.out_bonds[v])
-        if (n_in, n_out) != (2, 2):
-            four_regular = False
-            problems.append(
-                f"vertex {v} has {n_in} incoming / {n_out} outgoing bonds (want 2/2)"
-            )
+    problems = [f"{fault} (want 2/2)" for fault in graph.port_faults]
+    four_regular = not problems
     bond_count_ok = graph.num_bonds == 2 * graph.vertex_count
     if not bond_count_ok:
         problems.append(
@@ -261,18 +265,65 @@ def orient_four_regular(
     return graph
 
 
+@dataclass(frozen=True, eq=False)
+class BondLengths:
+    """Finite, positive, pairwise-distinct bond lengths (the diagonal of L).
+
+    Infinite or NaN entries, and values that are not a vector of numbers
+    (such as a JSON object read from a graph file), are rejected here
+    rather than inside the eigenvalue solver.
+    """
+
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        try:
+            values = np.array(self.values)
+        except ValueError as exc:  # ragged nesting
+            raise ValueError(f"lengths must be a vector of numbers: {exc}") from exc
+        # numpy reads a bool among numbers, such as a JSON true, as 1.0
+        if not isinstance(self.values, np.ndarray) and values.ndim == 1 and any(
+                isinstance(x, (bool, np.bool_)) for x in self.values):
+            values = values.astype(bool)
+        if values.dtype.kind not in "iuf":  # objects, strings, booleans
+            raise ValueError(f"lengths must be a vector of numbers, got {values.dtype} entries")
+        values = values.astype(float, copy=False)
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError("lengths must form a nonempty 1-d vector")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("lengths must be finite")
+        if not np.all(values > 0):
+            raise ValueError("lengths must be strictly positive")
+        if np.unique(values).size != values.size:
+            raise ValueError("lengths must be pairwise distinct")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    def __len__(self) -> int:
+        return int(self.values.size)
+
+
+def stored_lengths(graph: DirectedGraph, values) -> BondLengths | None:
+    """A graph file's ``"lengths"`` entry as checked bond lengths (None for
+    None); raises ValueError if BondLengths refuses it or the count is off."""
+    if values is None:
+        return None
+    lengths = BondLengths(values=values)
+    if len(lengths) != graph.num_bonds:
+        raise ValueError("stored lengths do not match the bond count")
+    return lengths
+
+
 def save_graph(graph: DirectedGraph, path: str | Path, lengths=None) -> None:
     """Write a graph file (see the module docstring), with the bond lengths
-    when given."""
+    when given; :func:`stored_lengths` refuses them as the loader would."""
     payload: dict = {
         "V": graph.vertex_count,
         "bonds": [[u, v] for u, v in graph.bonds],
     }
     if lengths is not None:
-        values = [float(x) for x in getattr(lengths, "values", lengths)]
-        if len(values) != graph.num_bonds:
-            raise ValueError("length vector does not match the bond count")
-        payload["lengths"] = values
+        checked = stored_lengths(graph, getattr(lengths, "values", lengths))
+        payload["lengths"] = checked.values.tolist()
     Path(path).write_text(json.dumps(payload, indent=1) + "\n")
 
 
@@ -293,12 +344,13 @@ def read_graph(path: str | Path) -> tuple[DirectedGraph, list | None]:
     return DirectedGraph(vertex_count, bonds), data.get("lengths")
 
 
-def load_graph(path: str | Path) -> tuple[DirectedGraph, list | None]:
-    """:func:`read_graph`, enforcing canonical bond order and validity."""
+def load_graph(path: str | Path) -> tuple[DirectedGraph, BondLengths | None]:
+    """:func:`read_graph`, enforcing canonical bond order and validity; the
+    lengths come back as :func:`stored_lengths` checks them."""
     graph, lengths = read_graph(path)
     if list(graph.bonds) != sorted(graph.bonds):
         raise ValueError(f"{path}: bond list is not in canonical (origin, terminus) order")
     report = validate_graph(graph)
     if not report.passed:
         raise ValueError(f"{path}: invalid graph: " + "; ".join(report.problems))
-    return graph, lengths
+    return graph, stored_lengths(graph, lengths)

@@ -333,11 +333,8 @@ def balanced_counts(graph: DirectedGraph, ns: Sequence[int], y_bits: int) -> lis
     B, V = graph.num_bonds, graph.vertex_count
     if not ns or not all(0 <= n <= B for n in ns):
         raise ValueError(f"n must lie in 0..{B}")
-    for v in range(V):
-        n_in, n_out = len(graph.in_bonds[v]), len(graph.out_bonds[v])
-        if n_in != 2 or n_out != 2:
-            raise ValueError(f"vertex {v} has {n_in} incoming / {n_out} outgoing bonds; "
-                             "counting balanced subsets needs two of each")
+    if graph.port_faults:
+        raise ValueError(f"{graph.port_faults[0]}; counting balanced subsets needs two of each")
     n_max = max(min(n, B - n) for n in ns)
     width = B + 1 + y_bits * (n_max // 2)
     keep = (1 << (width * (n_max + 1))) - 1

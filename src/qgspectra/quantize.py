@@ -4,9 +4,8 @@ Every vertex scatters waves between its two incoming and two outgoing
 bonds through the 2x2 discrete-Fourier-transform block.  Assembled
 bond-to-bond these blocks form the unitary scattering matrix S, and
 together with a vector of incommensurate bond lengths the evolution
-operator U(k) = S diag(e^{i k L_b}).  Port slots are the graph's own
-(``DirectedGraph.in_bonds``/``out_bonds``); :class:`BondLengths` checks
-lengths, including those a graph file stores.
+operator U(k) = S diag(e^{i k L_b}).  Port slots, their sign flags and
+:class:`BondLengths` are the graph module's own; this module samples lengths.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DirectedGraph, validate_graph
+from .graphs import BondLengths, DirectedGraph, validate_graph
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 LENGTH_INTERVAL = (1.0, 2.0)  # [low, high) of sampled bond lengths
@@ -34,15 +33,14 @@ def dft_vertex_matrix() -> np.ndarray:
 def transition_sign(graph: DirectedGraph, bond: int, next_bond: int) -> int:
     """Sign of the scattering amplitude for the step ``bond -> next_bond``.
 
-    -1 exactly when both bonds sit in the second port slot at the shared
-    vertex, +1 otherwise; the amplitude itself is this sign times
-    1/sqrt(2).  Raises if ``next_bond`` does not start where ``bond`` ends.
+    -1 exactly when ``graph.second_slots`` puts ``bond`` in the second in-port
+    and ``next_bond`` in the second out-port slot, +1 otherwise; the amplitude
+    is this sign over sqrt(2).  Raises if ``next_bond`` does not follow ``bond``.
     """
-    v = graph.terminus(bond)
-    if graph.origin(next_bond) != v:
+    if graph.origin(next_bond) != graph.terminus(bond):
         raise ValueError(f"bonds {bond} -> {next_bond} are not adjacent")
-    negative = graph.in_bonds[v].index(bond) == 1 and graph.out_bonds[v].index(next_bond) == 1
-    return -1 if negative else 1
+    second_in, second_out = graph.second_slots
+    return -1 if second_in[bond] and second_out[next_bond] else 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,44 +83,6 @@ def build_bond_scattering(graph: DirectedGraph) -> BondScattering:
                 matrix[b_out, b_in] = sigma[row, col]
     matrix.flags.writeable = False
     return BondScattering(graph=graph, matrix=matrix)
-
-
-@dataclass(frozen=True, eq=False)
-class BondLengths:
-    """Finite, positive, pairwise-distinct bond lengths (the diagonal of L).
-
-    Infinite or NaN entries, and values that are not a vector of numbers
-    (such as a JSON object read from a graph file), are rejected here
-    rather than inside the eigenvalue solver.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        try:
-            values = np.array(self.values)
-        except ValueError as exc:  # ragged nesting
-            raise ValueError(f"lengths must be a vector of numbers: {exc}") from exc
-        # numpy reads a bool among numbers, such as a JSON true, as 1.0
-        if not isinstance(self.values, np.ndarray) and values.ndim == 1 and any(
-                isinstance(x, (bool, np.bool_)) for x in self.values):
-            values = values.astype(bool)
-        if values.dtype.kind not in "iuf":  # objects, strings, booleans
-            raise ValueError(f"lengths must be a vector of numbers, got {values.dtype} entries")
-        values = values.astype(float, copy=False)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("lengths must form a nonempty 1-d vector")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("lengths must be finite")
-        if not np.all(values > 0):
-            raise ValueError("lengths must be strictly positive")
-        if np.unique(values).size != values.size:
-            raise ValueError("lengths must be pairwise distinct")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
 
 
 def sample_bond_lengths(graph: DirectedGraph, seed: int) -> BondLengths:

@@ -2,6 +2,7 @@
 
 import csv
 import decimal
+import hashlib
 import json
 import math
 import os
@@ -56,6 +57,28 @@ def test_graph_gen_without_seed(tmp_path):
     out = tmp_path / "g6.json"
     assert main(["graph", "gen", "--p", "3", "--r", "1", "--out", str(out)]) == EXIT_OK
     assert "lengths" not in json.loads(out.read_text())
+
+
+def test_graph_gen_file_is_pinned(tmp_path):
+    # the bytes of a generated file with lengths: the JSON layout and the
+    # repr of each sampled float, which the length check must not change
+    out = tmp_path / "g6.json"
+    assert main(["graph", "gen", "--p", "3", "--r", "1", "--seed", "5",
+                 "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "b903a7cae16bbd998fdd9540b073f1b5cb740bcd3a978a4a02415d52d58b3e85")
+
+
+def test_validate_lists_noncanonical_order(tmp_path, capsys, binary6):
+    path = tmp_path / "swapped.json"
+    save_graph(binary6, path)
+    data = json.loads(path.read_text())
+    data["bonds"][0], data["bonds"][1] = data["bonds"][1], data["bonds"][0]
+    path.write_text(json.dumps(data))
+    assert main(["graph", "validate", "--graph-file", str(path)]) == EXIT_CONFIG
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    assert report["problems"] == ["bond list is not in canonical (origin, terminus) order"]
 
 
 def test_validate_fails_on_disconnected(tmp_path):

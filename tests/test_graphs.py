@@ -1,5 +1,6 @@
 """Graph construction, validation, orientation, and file round trips."""
 
+import json
 from collections import Counter, deque
 
 import numpy as np
@@ -159,6 +160,25 @@ def test_orient_rejects_disconnected():
         q.orient_four_regular(edges)
 
 
+def test_orient_rejects_unknown_vertex():
+    with pytest.raises(ValueError, match=r"edge \(0, 5\) references an unknown vertex"):
+        q.orient_four_regular([(0, 5), (0, 5)], 2)
+
+
+def test_port_faults_phrase_both_refusals():
+    # one line per vertex off 2-in/2-out, read by validate_graph and by the
+    # frontier pass, each with its own suffix
+    crowded = DirectedGraph(2, ((0, 0), (0, 0), (0, 0), (0, 1), (1, 0), (1, 1)))
+    assert crowded.port_faults == ("vertex 0 has 4 incoming / 4 outgoing bonds",)
+    assert q.validate_graph(crowded).problems[0] == (
+        "vertex 0 has 4 incoming / 4 outgoing bonds (want 2/2)")
+    with pytest.raises(ValueError) as refused:
+        q.balanced_counts(crowded, [2], 0)
+    assert str(refused.value) == ("vertex 0 has 4 incoming / 4 outgoing bonds; "
+                                  "counting balanced subsets needs two of each")
+    assert q.build_binary_graph(3, 1).port_faults == ()
+
+
 def _undirected_connected(vertex_count, edges):
     adjacency = [[] for _ in range(vertex_count)]
     for u, v in edges:
@@ -210,13 +230,35 @@ def test_save_load_with_lengths(tmp_path, binary6, lengths6):
     q.save_graph(binary6, path, lengths=lengths6)
     graph, stored = q.load_graph(path)
     assert graph == binary6
-    assert stored is not None
-    assert list(stored) == pytest.approx(list(lengths6.values))
+    assert isinstance(stored, q.BondLengths)
+    assert list(stored.values) == pytest.approx(list(lengths6.values))
 
 
 def test_save_rejects_wrong_length_count(tmp_path, binary6):
     with pytest.raises(ValueError):
         q.save_graph(binary6, tmp_path / "bad.json", lengths=[1.0, 2.0])
+
+
+_GOOD_LENGTHS = [1 + b / 16 for b in range(12)]
+
+
+@pytest.mark.parametrize("lengths, message", [
+    ([*_GOOD_LENGTHS[:-1], True], "lengths must be a vector of numbers, got bool entries"),
+    ([-1.0] * 12, "lengths must be strictly positive"),
+    ([1.5, 1.5, *_GOOD_LENGTHS[2:]], "lengths must be pairwise distinct"),
+    ([1.0, 2.0], "stored lengths do not match the bond count"),
+], ids=["bool", "negative", "repeated", "short"])
+def test_save_refuses_what_load_refuses(tmp_path, binary6, lengths, message):
+    path = tmp_path / "g6.json"
+    with pytest.raises(ValueError) as refused:
+        q.save_graph(binary6, path, lengths=lengths)
+    assert str(refused.value) == message
+    assert not path.exists()
+    # the same lengths, written by hand, are refused by the loader alike
+    path.write_text(json.dumps({"V": 6, "bonds": BINARY6_BONDS, "lengths": lengths}))
+    with pytest.raises(ValueError) as refused:
+        q.load_graph(path)
+    assert str(refused.value) == message
 
 
 def test_load_rejects_noncanonical_order(tmp_path):

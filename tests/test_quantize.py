@@ -100,6 +100,11 @@ def test_bond_lengths_validation():
         lengths.values[0] = 2.0
 
 
+def test_bond_lengths_is_the_graph_module_class():
+    # one class, defined beside the graph file that stores lengths
+    assert BondLengths is q.graphs.BondLengths is q.BondLengths
+
+
 def test_evolution_operator_unitary(scattering6, lengths6):
     for k in (0.0, 1.0, 17.3, 4000.0):
         U = evolution_operator(scattering6, lengths6, k)

@@ -140,6 +140,19 @@ def test_cayley_minus_identity_and_cycle(monkeypatch, rotation, passes):
         assert calls == passes
 
 
+def test_char_poly_coefficients_at_the_pole(monkeypatch):
+    # an eigenvalue at the pole of the first Cayley pass: the retry moves
+    # it off, and with no retries left the solver refuses rather than
+    # returning the transform's rounding
+    spectrum = np.array([-np.exp(-1j * spectral._CAYLEY_ROTATION), 1.0, 1j, -1.0])
+    coefficients = char_poly_coefficients(np.diag(spectrum)).values
+    assert np.max(np.abs(coefficients - np.poly(spectrum))) <= 1e-14
+    monkeypatch.setattr(spectral, "_CAYLEY_RETRIES", 0)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="Cayley transform kept an eigenvalue at its pole"):
+        char_poly_coefficients(np.diag(spectrum))
+
+
 @pytest.mark.parametrize("batch_size", [1, 3, 7, 256])
 def test_k_slices_reproduce_one_stream(batch_size):
     samples, seed, k_max = 1001, 42, 1e5
@@ -367,34 +380,10 @@ def test_minor_sum_reaches_b32(debruijn16):
         assert oracle == pytest.approx(float(q.exact_variance(debruijn16, n)), abs=1e-12)
 
 
-def _dyadic_grid_mean(graph):
-    """Mean of |a_n|^2 through the Monte Carlo stages over the grid
-    k_j = 2 pi j / M, j < M = 2^B, with bond lengths 2^b.
-
-    |a_n(k)|^2 is a trigonometric polynomial with integer frequencies
-    L_I - L_J, and the grid mean keeps the pairs with M | L_I - L_J.  With
-    these lengths every subset sum differs and lies below M, so only I = J
-    remain: the mean is the incommensurate limit, the exact variance.
-    """
-    S = q.build_bond_scattering(graph)
-    B = graph.num_bonds
-    M = 1 << B
-    lengths = 1 << np.arange(B, dtype=np.int64)
-    rows = spectral._STACK_ELEMENTS // (B * B)
-    total = np.zeros(B + 1)
-    for start in range(0, M, rows):
-        j = np.arange(start, min(start + rows, M), dtype=np.int64)
-        phases = np.exp(2j * np.pi * ((j[:, np.newaxis] * lengths) % M) / M)
-        U = S.matrix[np.newaxis, :, :] * phases[:, np.newaxis, :]
-        power = np.abs(_coefficients_from_eigenvalues(_unitary_eigenvalues(U))) ** 2
-        total += power.sum(axis=0)
-    return total / M
-
-
 @pytest.mark.parametrize("p, r", [(3, 1), (1, 3)])
-def test_mc_stages_give_the_variance_on_a_dyadic_grid(p, r):
+def test_mc_stages_give_the_variance_on_a_dyadic_grid(p, r, dyadic_grid_mean):
     """The phases, Cayley eigenvalues and coefficient expansion, checked to
     rounding rather than to a few standard errors (B = 12 and 16)."""
     graph = q.build_binary_graph(p, r)
     exact = np.array([float(v) for v in q.variance(graph, range(graph.num_bonds + 1))])
-    assert np.max(np.abs(_dyadic_grid_mean(graph) - exact)) <= 1e-12
+    assert np.max(np.abs(dyadic_grid_mean(graph) - exact)) <= 1e-12
