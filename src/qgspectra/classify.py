@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
-from .graphs import DirectedGraph
+from .graphs import DirectedGraph, _whole
 from .orbits import PartnerGroup, PseudoOrbit, balanced_counts, group_by_bond_multiset
 
 WALK_BIT_LIMIT = 2**37  # bits pseudo_orbit_counts may move through its ints
@@ -153,9 +153,9 @@ def pseudo_orbit_counts(graph: DirectedGraph, n_max: int) -> list[int]:
     closed-walk counts tr(A^k), pushed from every start vertex at once in
     one packed int per end vertex.  Raises ValueError if that push and the
     recurrence for |P^n| would move more than ``WALK_BIT_LIMIT`` bits or
-    hold more than ``COUNT_BIT_LIMIT``.
+    hold more than ``COUNT_BIT_LIMIT``, or if ``n_max`` is not an integer.
     """
-    if n_max < 0:
+    if _whole(n_max, "pseudo-orbit lengths") < 0:
         raise ValueError("n must be nonnegative")
     V = graph.vertex_count
     degree = min(V, n_max)

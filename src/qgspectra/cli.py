@@ -149,8 +149,8 @@ def cmd_graph_validate(args) -> int:
     graph, stored = read_graph(args.graph_file)
     report = validate_graph(graph)
     problems = list(report.problems)
-    if list(graph.bonds) != sorted(graph.bonds):
-        problems.append("bond list is not in canonical (origin, terminus) order")
+    if graph.order_fault:
+        problems.append(graph.order_fault)
     try:
         stored_lengths(graph, stored)
     except ValueError as exc:

@@ -6,9 +6,9 @@ then terminus, with parallel copies adjacent) and bond ids are positions
 in that list.  Every matrix, orbit, and subset downstream is indexed by
 these ids, so the ordering is part of the data contract, and so are the
 port slots (``DirectedGraph.in_bonds`` and ``out_bonds``).  Tables derived
-from the bonds, such as each bond's terminus, port faults and port-slot
-flags, are cached properties of the frozen graph: built on first use, read
-by every module, and dropped with the graph.
+from the bonds, such as each bond's terminus, port and order faults and
+port-slot flags, are cached properties of the frozen graph: built on first
+use, read by every module, and dropped with the graph.
 
 A graph file is JSON, ``{"V": int, "bonds": [[u, v], ...]}`` in canonical
 bond order with an optional ``"lengths": [...]``; ``V`` and the vertex ids
@@ -39,6 +39,16 @@ def _integer(value) -> int:
         except TypeError:
             pass
     raise TypeError(f"{value!r} is not an integer")
+
+
+def _whole(value, what: str) -> int:
+    """:func:`_integer` at a numeric boundary, where ``what`` (a plural
+    noun) names the argument in the ValueError: int() would read 2.9 as 2,
+    and a bool would pass as 0 or 1."""
+    try:
+        return _integer(value)
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -113,6 +123,13 @@ class DirectedGraph:
             for v, (into, out) in enumerate(zip(self.in_bonds, self.out_bonds))
             if (len(into), len(out)) != (2, 2)
         )
+
+    @cached_property
+    def order_fault(self) -> str | None:
+        """The line saying the bond list is not in canonical order; None if it is."""
+        if self.bonds != tuple(sorted(self.bonds)):
+            return "bond list is not in canonical (origin, terminus) order"
+        return None
 
     @cached_property
     def second_slots(self) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
@@ -348,8 +365,8 @@ def load_graph(path: str | Path) -> tuple[DirectedGraph, BondLengths | None]:
     """:func:`read_graph`, enforcing canonical bond order and validity; the
     lengths come back as :func:`stored_lengths` checks them."""
     graph, lengths = read_graph(path)
-    if list(graph.bonds) != sorted(graph.bonds):
-        raise ValueError(f"{path}: bond list is not in canonical (origin, terminus) order")
+    if graph.order_fault:
+        raise ValueError(f"{path}: {graph.order_fault}")
     report = validate_graph(graph)
     if not report.passed:
         raise ValueError(f"{path}: invalid graph: " + "; ".join(report.problems))

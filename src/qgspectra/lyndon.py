@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .graphs import _integer
+from .graphs import _whole
 
 Word = tuple[int, ...]
 
@@ -64,14 +64,6 @@ class LyndonTuple:
     def parity(self) -> int:
         """(-1)**index."""
         return -1 if self.index % 2 else 1
-
-
-def _whole(value, what: str) -> int:
-    # graphs._integer's rule: int() would read 2.9 as 2 and '1' as a letter
-    try:
-        return _integer(value)
-    except TypeError:
-        raise ValueError(f"{what} must be integers, got {value!r}") from None
 
 
 def _normalize_content(content) -> Counter:

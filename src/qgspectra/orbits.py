@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import DirectedGraph, _integer
+from .graphs import DirectedGraph, _integer, _whole
 
 DEFAULT_CAP = 2_000_000
 FRONTIER_STATE_LIMIT = 100_000  # frontier states any counting pass may hold
@@ -318,7 +318,8 @@ def balanced_counts(graph: DirectedGraph, ns: Sequence[int], y_bits: int) -> lis
     each n in ``ns``, where N(I) counts the vertices I uses twice: y_bits =
     0 counts the subsets (the oracle's minors), 1 their cycle covers (the
     bond-distinct pseudo orbits) and 2 gives 2^n var(n).  Raises
-    FrontierBudgetExceeded past ``FRONTIER_STATE_LIMIT`` states or
+    ValueError unless every n is an integer (not a float or bool) in 0..B,
+    and FrontierBudgetExceeded past ``FRONTIER_STATE_LIMIT`` states or
     ``FRONTIER_BIT_LIMIT`` packed bits; every y_bits holds the same states.
 
     Frontier transfer matrix over :func:`_vertex_steps`: the state is the
@@ -331,6 +332,7 @@ def balanced_counts(graph: DirectedGraph, ns: Sequence[int], y_bits: int) -> lis
     with N + V - m doubled vertices, so n > V reads entry B - n, shifted.
     """
     B, V = graph.num_bonds, graph.vertex_count
+    ns = [_whole(n, "subset sizes") for n in ns]
     if not ns or not all(0 <= n <= B for n in ns):
         raise ValueError(f"n must lie in 0..{B}")
     if graph.port_faults:

@@ -14,20 +14,26 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .orbits import _balanced_subsets, _bond_ids, _in_out
+from .orbits import _balanced_subsets, _bond_ids, _in_out, _whole
 from .quantize import BondLengths, BondScattering
 
 DEFAULT_K_MAX = 1e5
 _UNITARITY_GATE = 1e-6
-# Complex entries per stacked array (4 MB): sizes the default Monte Carlo
-# batch and the oracle's blocks of minors, which set the peak memory.
+# Complex entries per summation block (4 MB of matrices): sizes the default
+# Monte Carlo batch and the oracle's blocks of minors, whose sums fix the
+# output bits.  No array of this size is held.
 _STACK_ELEMENTS = 1 << 18
+# Complex entries per work stack (1 MB): a block is evaluated in stacks of
+# at most this many matrix entries (one matrix if it is larger), which set
+# the peak memory and leave the bits alone.
+_WORK_ELEMENTS = 1 << 16
 # Cayley route for unitary spectra (see _unitary_eigenvalues).
 _CAYLEY_ROTATION = 1.0  # rad; keeps -I and permutation matrices off the pole
 _CAYLEY_LIMIT = 1e3  # largest norm of the transform accepted
@@ -75,13 +81,16 @@ def _coefficients_from_eigenvalues(eigenvalues: np.ndarray) -> np.ndarray:
     return c[:, ::-1]
 
 
-def _cayley_spectrum(U: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cayley_spectrum(
+    U: np.ndarray, alpha: np.ndarray, work: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """For a stack of unitary U and V = e^{i alpha} U: the ascending
     eigenvalues mu of the Hermitian part of H = i (I + V)^-1 (I - V), and
     the Frobenius norm of (I + V)^-1 (I - V) per row.
 
     With W = (I + V)^-1, (I + V)^-1 (I - V) = 2W - I, so one inverse gives
-    H and its Hermitian part i (W - W^H), and no stack for I - V is needed.
+    H and its Hermitian part i (W - W^H), and no stack for I - V is needed:
+    ``work``, shaped like U, holds I + V and then W^H.
     The norm (taken as that of 2W) bounds max |mu| and also shows a pole
     that mu can miss: near a singular I + V the error in W is large, and
     the part of it that i (W - W^H) discards can hold the pole.  Reading
@@ -90,14 +99,13 @@ def _cayley_spectrum(U: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.n
     an infinite norm for every row; the batched inverse cannot say which.
     """
     diagonal = np.arange(U.shape[-1])
-    plus = U * np.exp(1j * alpha)[:, np.newaxis, np.newaxis]
+    plus = np.multiply(U, np.exp(1j * alpha)[:, np.newaxis, np.newaxis], out=work)
     plus[:, diagonal, diagonal] += 1.0
     try:
         W = np.linalg.inv(plus)
-        del plus
         entries = W.view(np.float64).reshape(len(W), -1)
         norm = 2.0 * np.sqrt(np.einsum("ij,ij->i", entries, entries))
-        W -= W.conj().swapaxes(1, 2)
+        W -= np.conjugate(W.swapaxes(1, 2), out=plus)  # I + V is dead
         W *= 1j
         return np.linalg.eigvalsh(W), norm
     except np.linalg.LinAlgError:
@@ -114,7 +122,7 @@ def _gap_rotation(mu: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(middle), np.pi - middle, _CAYLEY_STEP)
 
 
-def _unitary_eigenvalues(U: np.ndarray) -> np.ndarray:
+def _unitary_eigenvalues(U: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Eigenvalues of a stack (M, B, B) of unitary matrices, on the unit circle.
 
     With V = e^{i alpha} U, the Cayley transform H = i (I + V)^-1 (I - V)
@@ -128,16 +136,19 @@ def _unitary_eigenvalues(U: np.ndarray) -> np.ndarray:
     at least 2 pi / B wide, so afterwards max |mu| < cot(pi / 2B) < B and
     the norm is below B^1.5, which is why the limit is never lower.
     Raises LinAlgError if rows still sit at the pole after the retries.
+    ``work`` is scratch shaped like U, allocated when not given.
     """
+    if work is None:
+        work = np.empty(U.shape, dtype=complex)
     limit = max(_CAYLEY_LIMIT, U.shape[-1] ** 1.5)
     alpha = np.full(len(U), _CAYLEY_ROTATION)
-    mu, norm = _cayley_spectrum(U, alpha)
+    mu, norm = _cayley_spectrum(U, alpha, work)
     rows = np.flatnonzero(~(norm <= limit))  # NaN-safe
     for _ in range(_CAYLEY_RETRIES):
         if rows.size == 0:
             break
         alpha[rows] += _gap_rotation(mu[rows])
-        mu[rows], norm = _cayley_spectrum(U[rows], alpha[rows])
+        mu[rows], norm = _cayley_spectrum(U[rows], alpha[rows], work[:rows.size])
         rows = rows[~(norm <= limit)]
     if rows.size:
         raise np.linalg.LinAlgError("Cayley transform kept an eigenvalue at its pole")
@@ -215,10 +226,14 @@ def mc_variance(
     pairwise update of Chan, Golub and LeVeque, which does not cancel where
     |a_n|^2 barely varies), so results are bit-identical for a given
     (samples, seed, k_max, batch_size) regardless of thread count, which
-    is capped at the batch count and the usable CPUs.  A default batch
-    holds at most three stacks of about 2^18 entries at once (U and two of
-    the Cayley operand, its inverse and their Hermitian part); eigenvalue
-    failures of individual batches propagate.
+    is capped at the batch count and the usable CPUs.  The batch size
+    (by default about 2^18 matrix entries) fixes the bits.  The memory is
+    set apart from it: a batch is evaluated in work stacks of about 2^16
+    entries, two per thread (U, and the Cayley operand, which then takes
+    the conjugate transpose of its inverse), allocated once per call and
+    reused.  Eigenvalue failures propagate; an exactly singular I + V
+    sends only its own work stack, not the whole batch, to the fixed-step
+    retry.
 
     ``std_error`` covers sampling noise only.  A finite ``k_max`` leaves a
     bias on top of it that depends on the bond lengths and can reach
@@ -226,38 +241,53 @@ def mc_variance(
     against exact values allow four standard errors rather than three.
 
     Raises ValueError unless ``k_max`` is positive and finite, ``threads``
-    is at least 1 and ``batch_size`` is None or at least 1.
+    is at least 1 and ``batch_size`` is None or at least 1, or if the seed,
+    an index or a count is not an integer (a float or bool is refused, never
+    truncated).
     """
     B = S.num_bonds
     if len(lengths) != B:
         raise ValueError("scattering matrix and length vector disagree on the bond count")
-    if samples < 2:
+    _whole(seed, "seeds")  # Philox would read 1.5 or True as key 1
+    if _whole(samples, "sample counts") < 2:
         raise ValueError("need at least 2 samples")
     if not (k_max > 0 and math.isfinite(k_max)):
         raise ValueError("k_max must be positive and finite")
-    if threads < 1:
+    if _whole(threads, "thread counts") < 1:
         raise ValueError("threads must be at least 1")
-    if batch_size is not None and batch_size < 1:
+    if batch_size is not None and _whole(batch_size, "batch sizes") < 1:
         raise ValueError("batch_size must be at least 1 (or None)")
     if S.unitarity_defect() > _UNITARITY_GATE:
         raise ValueError("scattering matrix is not unitary")
-    ns = sorted(range(B + 1) if n_set is None else {int(n) for n in n_set})
+    ns = sorted(range(B + 1) if n_set is None
+                else {_whole(n, "coefficient indices") for n in n_set})
     if ns and not (0 <= ns[0] and ns[-1] <= B):
         raise ValueError(f"coefficient indices must lie in 0..{B}")
 
     if batch_size is None:
         batch_size = max(1, _STACK_ELEMENTS // (B * B))
     starts = range(0, samples, batch_size)
+    stack = min(batch_size, max(1, _WORK_ELEMENTS // (B * B)))
 
     matrix = S.matrix
     length_values = lengths.values
+    buffers = threading.local()  # per thread, dropped with this call
 
     def run_batch(start: int) -> tuple[np.ndarray, np.ndarray]:
         k_batch = _k_slice(seed, float(k_max), start, min(batch_size, samples - start))
         phases = np.exp(1j * np.outer(k_batch, length_values))
-        U = matrix[np.newaxis, :, :] * phases[:, np.newaxis, :]
-        eigenvalues = _unitary_eigenvalues(U)
-        power = np.abs(_coefficients_from_eigenvalues(eigenvalues)) ** 2
+        if not hasattr(buffers, "U"):
+            buffers.U, buffers.work = np.empty((2, stack, B, B), dtype=complex)
+        # |a_n| is taken once per batch, on the reversed view that one
+        # batch-wide expansion returns: numpy rounds it differently in its
+        # vector and scalar loops, so a row's bits depend on where it sits
+        coefficients = np.empty((len(phases), B + 1), dtype=complex)[:, ::-1]
+        for row in range(0, len(phases), stack):
+            rows = phases[row:row + stack]
+            U = np.multiply(matrix, rows[:, np.newaxis, :], out=buffers.U[:len(rows)])
+            eigenvalues = _unitary_eigenvalues(U, buffers.work[:len(rows)])
+            coefficients[row:row + stack] = _coefficients_from_eigenvalues(eigenvalues)
+        power = np.abs(coefficients) ** 2
         part_sum = power.sum(axis=0)
         return part_sum, ((power - part_sum / len(power)) ** 2).sum(axis=0)
 
@@ -305,11 +335,14 @@ def minor_sum_variance(S: BondScattering, n: int) -> float:
     A subset with more selected bonds into some vertex than out of it has
     linearly dependent columns there, so only the subsets balanced at every
     vertex are summed; the balanced-subset search of :mod:`orbits` lists
-    them.  Their determinants are evaluated in blocks of about 2^18 matrix
-    entries.  This is the incommensurate-lengths limit of the k-average.
+    them.  Each block of about 2^18 matrix entries is summed in one call,
+    which fixes the bits; its determinants are taken in work stacks of
+    about 2^16 entries, which set the memory.  This is the
+    incommensurate-lengths limit of the k-average.  Raises ValueError
+    unless ``n`` is an integer (not a float or bool) in 0..B.
     """
     B = S.num_bonds
-    if not 0 <= n <= B:
+    if not 0 <= _whole(n, "coefficient indices") <= B:
         raise ValueError(f"n must lie in 0..{B}")
     if n == 0:
         return 1.0
@@ -325,9 +358,15 @@ def minor_sum_variance(S: BondScattering, n: int) -> float:
 
 
 def _minor_power(matrix: np.ndarray, subsets: list[tuple[int, ...]]) -> float:
-    """sum |det S_I|^2 over equal-size subsets I, in one batched call."""
+    """sum |det S_I|^2 over equal-size subsets I, in one ``np.sum`` call
+    over determinants taken in work stacks."""
     if not subsets:
         return 0.0
     idx = np.array(subsets, dtype=np.intp)  # an empty subset is a 0x0 minor, det 1
-    minors = matrix[idx[:, :, np.newaxis], idx[:, np.newaxis, :]]
-    return float(np.sum(np.abs(np.linalg.det(minors)) ** 2))
+    stack = max(1, _WORK_ELEMENTS // max(1, idx.shape[1] ** 2))
+    dets = np.empty(len(idx), dtype=complex)  # |det| once: see mc_variance's batches
+    for row in range(0, len(idx), stack):
+        part = idx[row:row + stack]
+        minors = matrix[part[:, :, np.newaxis], part[:, np.newaxis, :]]
+        dets[row:row + stack] = np.linalg.det(minors)
+    return float(np.sum(np.abs(dets) ** 2))

@@ -88,22 +88,38 @@ def test_cli_imports_no_private_name():
     assert private == []
 
 
+def _calls_thread_local(node: ast.AST) -> bool:
+    """Whether ``node`` calls ``threading.local`` (or a bare ``local``)."""
+    return any(
+        isinstance(call, ast.Call) and (
+            isinstance(call.func, ast.Attribute) and call.func.attr == "local"
+            or isinstance(call.func, ast.Name) and call.func.id == "local")
+        for call in ast.walk(node)
+    )
+
+
 def test_no_module_level_caches():
     """Graph-derived tables live on the graph: no module rebinds a global,
-    and the one module-level weak dict is the vertex-step table, which a
-    pass looks up once."""
-    rebound, weak = [], []
+    the one module-level weak dict is the vertex-step table, which a pass
+    looks up once, and no module keeps a ``threading.local()``, so per-thread
+    buffers die with the call that made them instead of staying pinned to
+    each thread."""
+    rebound, weak, per_thread = [], [], []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         rebound += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                     if isinstance(node, ast.Global)]
         for node in tree.body:
-            if (isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value
-                    and "WeakKeyDictionary" in ast.unparse(node.value)):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                weak += [f"{path.stem}.{t.id}" for t in targets]
+                names = [f"{path.stem}.{ast.unparse(t)}" for t in targets]
+                if "WeakKeyDictionary" in ast.unparse(node.value):
+                    weak += names
+                if _calls_thread_local(node.value):
+                    per_thread += names
     assert rebound == []
     assert weak == ["orbits._STEP_TABLES"]
+    assert per_thread == []
 
 
 # the package modules each module may import; None: any of them

@@ -266,8 +266,13 @@ def test_load_rejects_noncanonical_order(tmp_path):
     bonds = [list(b) for b in DEBRUIJN8_BONDS]
     bonds[0], bonds[1] = bonds[1], bonds[0]
     path.write_text('{"V": 8, "bonds": %s}' % bonds)
-    with pytest.raises(ValueError, match="canonical"):
+    with pytest.raises(ValueError) as refused:
         q.load_graph(path)
+    # one owner: the loader and `graph validate` read the graph's own line
+    fault = q.read_graph(path)[0].order_fault
+    assert fault == "bond list is not in canonical (origin, terminus) order"
+    assert str(refused.value) == f"{path}: {fault}"
+    assert q.build_binary_graph(1, 3).order_fault is None
 
 
 def test_load_rejects_invalid_graph(tmp_path):

@@ -105,7 +105,8 @@ def _passes(monkeypatch):
     calls = []
     one_pass = spectral._cayley_spectrum
     monkeypatch.setattr(
-        spectral, "_cayley_spectrum", lambda U, alpha: calls.append(len(U)) or one_pass(U, alpha)
+        spectral, "_cayley_spectrum",
+        lambda U, *rest: calls.append(len(U)) or one_pass(U, *rest),
     )
     return calls
 
@@ -228,9 +229,9 @@ def test_mc_pool_capped_by_batches_and_cpus(scattering6, lengths6, monkeypatch):
 
 
 def test_mc_working_set_is_bounded_by_the_stack_size():
-    # at B=64 a batch holds U, the Cayley operand and its inverse, one stack
-    # each; the Hermitian part comes after the operand is freed, and more
-    # samples add only batches
+    # at B=64 a thread holds U, the Cayley operand (reused for the Hermitian
+    # part) and its inverse, one 1 MB work stack each, whatever the 4 MB
+    # summation block; more samples add only batches
     graph = q.build_binary_graph(1, 5)
     S = q.build_bond_scattering(graph)
     lengths = q.sample_bond_lengths(graph, 3)
@@ -243,9 +244,37 @@ def test_mc_working_set_is_bounded_by_the_stack_size():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert max(peaks) <= 3.5 * spectral._STACK_ELEMENTS * 16
-    assert max(peaks) < 16 * 2**20
+    assert max(peaks) < 4 * 2**20
     assert peaks[1] <= peaks[0] + 2**16  # a batch's partial sums take 1 KB
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("batch_size", [7, None])
+@pytest.mark.parametrize("samples_per_stack", [1, 3])
+def test_mc_work_stacks_leave_the_bits_alone(monkeypatch, threads, batch_size, samples_per_stack):
+    # one sample per work stack, and three, which divides neither 7 nor the
+    # default 455-sample batch at B = 24: the summation blocks fix the bits
+    graph = q.build_binary_graph(3, 2)
+    S = q.build_bond_scattering(graph)
+    lengths = q.sample_bond_lengths(graph, 5)
+    def run():
+        return mc_variance(S, lengths, None, samples=1000, seed=3, threads=threads,
+                           batch_size=batch_size)
+    reference = run()
+    monkeypatch.setattr(spectral, "_WORK_ELEMENTS", samples_per_stack * 24 * 24)
+    assert run() == reference
+
+
+@pytest.mark.parametrize("work_elements", [1, 100])
+def test_minor_work_stacks_leave_the_bits_alone(scattering8, monkeypatch, work_elements):
+    # one minor per work stack, and 100 entries: 11 minors at n = 3, 4 at
+    # n = 5; the oracle's blocks, and so the bits, stay as they are
+    reference = [minor_sum_variance(scattering8, n) for n in range(17)]
+    reference.append(subset_contribution(scattering8, ()))
+    monkeypatch.setattr(spectral, "_WORK_ELEMENTS", work_elements)
+    stacked = [minor_sum_variance(scattering8, n) for n in range(17)]
+    stacked.append(subset_contribution(scattering8, ()))
+    assert stacked == reference
 
 
 def test_mc_does_not_depend_on_the_batch_size():
@@ -311,6 +340,30 @@ def test_mc_rejects_bad_arguments(binary6, scattering6, lengths6, lengths8):
 def test_mc_rejects_unusable_settings(scattering6, lengths6, setting, match):
     with pytest.raises(ValueError, match=match):
         mc_variance(scattering6, lengths6, [0], samples=10, seed=0, **setting)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, S, L: minor_sum_variance(S, 2.5),
+        lambda g, S, L: minor_sum_variance(S, True),
+        lambda g, S, L: mc_variance(S, L, [1.7], samples=10),
+        lambda g, S, L: mc_variance(S, L, [1], samples=10, threads=1.5),
+        lambda g, S, L: mc_variance(S, L, [1], samples=10.5),
+        lambda g, S, L: mc_variance(S, L, [1], samples=10, batch_size=2.5),
+        lambda g, S, L: mc_variance(S, L, [1], samples=10, seed=1.5),
+        lambda g, S, L: q.balanced_counts(g, [1.7], 0),
+        lambda g, S, L: q.census(g, [1.7]),
+        lambda g, S, L: q.census(g, [1.7], mode="general"),
+        lambda g, S, L: q.variance(g, [1.7]),
+    ],
+    ids=["oracle-float", "oracle-bool", "mc-index", "mc-threads", "mc-samples", "mc-batch",
+         "mc-seed", "balanced-counts", "census", "census-general", "variance"],
+)
+def test_indices_and_counts_must_be_integers(binary6, scattering6, lengths6, call):
+    # graphs' integer rule: a float or bool is refused, never truncated
+    with pytest.raises(ValueError, match="must be integers, got"):
+        call(binary6, scattering6, lengths6)
 
 
 def test_subset_contribution_cases(debruijn8, scattering8):
