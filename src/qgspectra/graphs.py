@@ -29,35 +29,34 @@ from typing import Iterable
 import numpy as np
 
 
-def _integer(value) -> int:
-    # bool is a subclass of int, and int() would truncate 0.7 to a valid
-    # vertex 0 or overflow on 1e400 (parsed as inf); operator.index takes
-    # Python and numpy integers only
+def _whole(value, what: str) -> int:
+    """``value`` as an int, the package's one integer check: Python and numpy
+    integers pass, and a bool, float or string raises ValueError naming
+    ``what`` (a plural noun): int() would truncate 0.7 to 0, and a bool is 0 or 1."""
     if not isinstance(value, bool):
         try:
             return operator.index(value)
         except TypeError:
             pass
-    raise TypeError(f"{value!r} is not an integer")
+    raise ValueError(f"{what} must be integers, got {value!r}")
 
 
-def _whole(value, what: str) -> int:
-    """:func:`_integer` at a numeric boundary, where ``what`` (a plural
-    noun) names the argument in the ValueError: int() would read 2.9 as 2,
-    and a bool would pass as 0 or 1."""
-    try:
-        return _integer(value)
-    except TypeError:
-        raise ValueError(f"{what} must be integers, got {value!r}") from None
+def _bond_ids(graph: DirectedGraph, bonds: Iterable) -> list[int]:
+    """The bonds as ints; raises ValueError unless each is an id in 0..B-1."""
+    ids = [_whole(b, "bond ids") for b in bonds]
+    for b in ids:
+        if not 0 <= b < graph.num_bonds:
+            raise ValueError(f"unknown bond id {b}")
+    return ids
 
 
 @dataclass(frozen=True)
 class DirectedGraph:
     """Directed multigraph with a fixed bond ordering.
 
-    The constructor only guarantees well-formed vertex ids: ``vertex_count``
-    and every id must be integers (Python or numpy, not bool; a float is
-    refused, never truncated), and every id must lie in ``0..V-1``.
+    The constructor only guarantees well-formed vertex ids: it raises
+    ValueError unless ``vertex_count`` and every id are integers (see
+    :func:`_whole`) and every id lies in ``0..V-1``.
     Regularity, bond count, and strong connectivity are checked by
     :func:`validate_graph`, so malformed graphs can still be built and
     reported on rather than rejected at construction time.
@@ -67,10 +66,10 @@ class DirectedGraph:
     bonds: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        vertex_count = _integer(self.vertex_count)
+        vertex_count = _whole(self.vertex_count, "vertex counts")
         if vertex_count < 1:
             raise ValueError("vertex_count must be positive")
-        bonds = tuple((_integer(u), _integer(v)) for u, v in self.bonds)
+        bonds = tuple((_whole(u, "vertex ids"), _whole(v, "vertex ids")) for u, v in self.bonds)
         for u, v in bonds:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(
@@ -205,8 +204,9 @@ def build_binary_graph(p: int, r: int) -> DirectedGraph:
     Vertex i sends bonds to 2i mod V and (2i + 1) mod V, the two binary
     successors of i; p = 1 yields the binary de Bruijn family.  The
     doubling map is mixing for every valid (p, r), so the output always
-    passes validation.
+    passes validation.  Any other p or r raises ValueError.
     """
+    p, r = _whole(p, "p and r"), _whole(r, "p and r")
     if p < 1 or p % 2 == 0:
         raise ValueError("p must be an odd positive integer")
     if r < 1:
@@ -233,13 +233,15 @@ def orient_four_regular(
     as it leaves, which balances the orientation.  Self-loops (degree 2)
     and parallel edges are allowed.  Different traversals can yield
     different valid orientations; no canonical choice is claimed beyond
-    determinism for a fixed input edge order.
+    determinism for a fixed input edge order.  Raises ValueError unless
+    every vertex id, and ``vertex_count``, is an integer.
     """
-    edge_list = [(int(u), int(v)) for u, v in edges]
+    edge_list = [(_whole(u, "vertex ids"), _whole(v, "vertex ids")) for u, v in edges]
     if not edge_list:
         raise ValueError("edge list is empty")
     if vertex_count is None:
         vertex_count = max(max(u, v) for u, v in edge_list) + 1
+    vertex_count = _whole(vertex_count, "vertex counts")
     degree = [0] * vertex_count
     incidence: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
     for eid, (u, v) in enumerate(edge_list):
@@ -348,17 +350,17 @@ def read_graph(path: str | Path) -> tuple[DirectedGraph, list | None]:
     """Parse a graph JSON file as written: the graph and the stored
     ``"lengths"`` entry (None without one).  Bond order, validity and the
     lengths are not checked (see :func:`load_graph`), but a ``V`` or vertex
-    id that is not a JSON integer, or a ``V`` above the bond count, is
-    rejected before anything is built per vertex."""
+    id that :class:`DirectedGraph` refuses, or a ``V`` above the bond count,
+    is a malformed file, rejected before anything is built per vertex."""
     data = json.loads(Path(path).read_text())
     try:
-        vertex_count = _integer(data["V"])
-        bonds = tuple((_integer(u), _integer(v)) for u, v in data["bonds"])
+        graph = DirectedGraph(data["V"], tuple(map(tuple, data["bonds"])))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph file {path}: {exc}") from exc
-    if vertex_count > len(bonds):  # B = 2V on a valid graph
-        raise ValueError(f"malformed graph file {path}: V={vertex_count} exceeds B={len(bonds)}")
-    return DirectedGraph(vertex_count, bonds), data.get("lengths")
+    if graph.vertex_count > graph.num_bonds:  # B = 2V on a valid graph
+        raise ValueError(f"malformed graph file {path}: "
+                         f"V={graph.vertex_count} exceeds B={graph.num_bonds}")
+    return graph, data.get("lengths")
 
 
 def load_graph(path: str | Path) -> tuple[DirectedGraph, BondLengths | None]:

@@ -24,10 +24,11 @@ Word = tuple[int, ...]
 def lyndon_words(alphabet_size: int, max_len: int) -> list[Word]:
     """All Lyndon words of length <= max_len over {1..alphabet_size},
     in lexicographic order: :func:`_fitting_lyndon_words` with a supply of
-    max_len of each letter, which the length bound never lets run out."""
-    if alphabet_size < 1:
+    max_len of each letter, which the length bound never lets run out.
+    Raises ValueError unless both are positive integers."""
+    if _whole(alphabet_size, "alphabet sizes") < 1:
         raise ValueError("alphabet_size must be positive")
-    if max_len < 1:
+    if _whole(max_len, "word lengths") < 1:
         raise ValueError("max_len must be positive")
     return _fitting_lyndon_words((max_len,) * alphabet_size, max_len)[0]
 
@@ -173,8 +174,8 @@ def tuple_parity_census(content) -> tuple[int, int]:
 
 def symmetric_group_parity_sum(letters: int) -> int:
     """Sum of (-1)**(number of cycles) over all permutations of ``letters``
-    symbols; zero for every l >= 2."""
-    if letters < 1:
+    symbols; zero for every l >= 2.  A float, bool or l < 1 raises ValueError."""
+    if _whole(letters, "letters") < 1:
         raise ValueError("letters must be positive")
     total = 0
     for perm in itertools.permutations(range(letters)):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import DirectedGraph, _integer, _whole
+from .graphs import DirectedGraph, _bond_ids, _whole
 
 DEFAULT_CAP = 2_000_000
 FRONTIER_STATE_LIMIT = 100_000  # frontier states any counting pass may hold
@@ -43,25 +43,6 @@ class EnumerationCapExceeded(RuntimeError):
 
 class FrontierBudgetExceeded(ValueError):
     """Raised when a frontier pass would hold more states than its budget."""
-
-
-def _bond_ids(graph: DirectedGraph, bonds: Iterable) -> list[int]:
-    """The bonds as ints, each an integer id in 0..B-1.
-
-    Like vertex ids in :mod:`graphs`, a bond id must be a Python or numpy
-    integer: int() would truncate 0.7 to the valid bond 0.  Anything else,
-    and an id out of range, raises ValueError.
-    """
-    ids = []
-    for b in bonds:
-        try:
-            bond = _integer(b)
-        except TypeError:
-            bond = None
-        if bond is None or not 0 <= bond < graph.num_bonds:
-            raise ValueError(f"unknown bond id {b}")
-        ids.append(bond)
-    return ids
 
 
 def canonical_orbit(
@@ -313,6 +294,16 @@ def _balanced_subsets(graph: DirectedGraph, n: int) -> Iterator[tuple[int, ...]]
                 stack.append((i + 1, count + k, mask | chosen))
 
 
+def _subset_sizes(graph: DirectedGraph, ns: Iterable) -> list[int]:
+    """``ns`` as a list of ints; raises ValueError unless it is a nonempty
+    list of integers in 0..B."""
+    B = graph.num_bonds
+    ns = [_whole(n, "subset sizes") for n in ns]
+    if not ns or not all(0 <= n <= B for n in ns):
+        raise ValueError(f"n must lie in 0..{B}")
+    return ns
+
+
 def balanced_counts(graph: DirectedGraph, ns: Sequence[int], y_bits: int) -> list[int]:
     """Sum of 2^(y_bits * N(I)) over the balanced n-bond subsets I, for
     each n in ``ns``, where N(I) counts the vertices I uses twice: y_bits =
@@ -332,9 +323,7 @@ def balanced_counts(graph: DirectedGraph, ns: Sequence[int], y_bits: int) -> lis
     with N + V - m doubled vertices, so n > V reads entry B - n, shifted.
     """
     B, V = graph.num_bonds, graph.vertex_count
-    ns = [_whole(n, "subset sizes") for n in ns]
-    if not ns or not all(0 <= n <= B for n in ns):
-        raise ValueError(f"n must lie in 0..{B}")
+    ns = _subset_sizes(graph, ns)
     if graph.port_faults:
         raise ValueError(f"{graph.port_faults[0]}; counting balanced subsets needs two of each")
     n_max = max(min(n, B - n) for n in ns)
@@ -373,11 +362,10 @@ def admissible_subsets(graph: DirectedGraph, n: int) -> Iterator[tuple[int, ...]
     scattering matrix; all others have an unbalanced vertex.  They come
     from one depth-first search (see :func:`_balanced_subsets`) whose cost
     follows their number, and are sorted before the first is yielded.
-    ``bench/worker.py`` calls it (ROADMAP item 1).
+    ``bench/worker.py`` calls it (ROADMAP item 1).  Raises ValueError
+    unless n is an integer in 0..B.
     """
-    B = graph.num_bonds
-    if not 0 <= n <= B:
-        raise ValueError(f"n must lie in 0..{B}")
+    [n] = _subset_sizes(graph, [n])
     yield from sorted(_balanced_subsets(graph, n))
 
 
@@ -470,8 +458,9 @@ def primitive_orbits(
     walk-count recurrence per start counts them exactly before that start
     is walked, and EnumerationCapExceeded is raised once the running
     total passes ``cap``.  All work per start is over the bonds it
-    reaches.
+    reaches.  Raises ValueError unless both are nonnegative integers.
     """
+    max_len, cap = _whole(max_len, "orbit lengths"), _whole(cap, "caps")
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     if cap < 0:
@@ -544,8 +533,10 @@ def enumerate_pseudo_orbits(
     :func:`balanced_counts` past its budget.
     ``general`` combines arbitrary distinct primitive orbits of total
     length n and is a strict superset once n admits repeated bonds; its
-    orbit search takes at most ``cap`` steps.
+    orbit search takes at most ``cap`` steps.  Raises ValueError unless
+    ``n`` and ``cap`` are nonnegative integers.
     """
+    n, cap = _whole(n, "pseudo-orbit lengths"), _whole(cap, "caps")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if cap < 0:

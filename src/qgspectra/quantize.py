@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import BondLengths, DirectedGraph, validate_graph
+from .graphs import BondLengths, DirectedGraph, _bond_ids, _whole, validate_graph
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 LENGTH_INTERVAL = (1.0, 2.0)  # [low, high) of sampled bond lengths
@@ -35,8 +35,10 @@ def transition_sign(graph: DirectedGraph, bond: int, next_bond: int) -> int:
 
     -1 exactly when ``graph.second_slots`` puts ``bond`` in the second in-port
     and ``next_bond`` in the second out-port slot, +1 otherwise; the amplitude
-    is this sign over sqrt(2).  Raises if ``next_bond`` does not follow ``bond``.
+    is this sign over sqrt(2).  Raises ValueError unless both are bond ids
+    and ``next_bond`` follows ``bond``.
     """
+    bond, next_bond = _bond_ids(graph, (bond, next_bond))
     if graph.origin(next_bond) != graph.terminus(bond):
         raise ValueError(f"bonds {bond} -> {next_bond} are not adjacent")
     second_in, second_out = graph.second_slots
@@ -91,9 +93,10 @@ def sample_bond_lengths(graph: DirectedGraph, seed: int) -> BondLengths:
 
     Rational relations between machine reals are measure zero; exact
     collisions, the one case that matters downstream, are removed by
-    resampling (itself part of the deterministic stream).
+    resampling (itself part of the deterministic stream).  Raises
+    ValueError unless ``seed`` is an integer.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_whole(seed, "seeds"))
     values = rng.uniform(*LENGTH_INTERVAL, graph.num_bonds)
     while np.unique(values).size != values.size:  # astronomically rare
         values = rng.uniform(*LENGTH_INTERVAL, graph.num_bonds)
@@ -101,8 +104,10 @@ def sample_bond_lengths(graph: DirectedGraph, seed: int) -> BondLengths:
 
 
 def evolution_operator(S: BondScattering, lengths: BondLengths, k: float) -> np.ndarray:
-    """U(k) = S diag(e^{i k L_b}); unitary for real k."""
+    """U(k) = S diag(e^{i k L_b}), unitary for real k; a non-finite k raises ValueError."""
     if len(lengths) != S.num_bonds:
         raise ValueError("scattering matrix and length vector disagree on the bond count")
-    phases = np.exp(1j * float(k) * lengths.values)
+    if not np.isfinite(k := float(k)):
+        raise ValueError(f"k must be finite, got {k}")
+    phases = np.exp(1j * k * lengths.values)
     return S.matrix * phases[np.newaxis, :]

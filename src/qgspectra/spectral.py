@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .orbits import _balanced_subsets, _bond_ids, _in_out, _whole
+from .orbits import _balanced_subsets, _bond_ids, _in_out, _subset_sizes, _whole
 from .quantize import BondLengths, BondScattering
 
 DEFAULT_K_MAX = 1e5
@@ -161,13 +161,13 @@ def char_poly_coefficients(U: np.ndarray, k: float | None = None) -> Coefficient
     Expanding from eigenvalues keeps every coefficient accurate even where
     direct expansion of the determinant would lose digits.  The eigenvalues
     come from the Cayley-transform route of ``mc_variance`` and lie on the
-    unit circle; grossly non-unitary input is rejected.
+    unit circle; input that is not square and unitary (NaN is not) raises ValueError.
     """
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValueError("U must be a square matrix")
     defect = float(np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0])))
-    if defect > _UNITARITY_GATE:
+    if not defect <= _UNITARITY_GATE:  # NaN-safe
         raise ValueError(f"input is not unitary (defect {defect:.3e})")
     eigenvalues = _unitary_eigenvalues(U[np.newaxis])
     return CoefficientVector(values=_coefficients_from_eigenvalues(eigenvalues)[0], k=k)
@@ -257,7 +257,7 @@ def mc_variance(
         raise ValueError("threads must be at least 1")
     if batch_size is not None and _whole(batch_size, "batch sizes") < 1:
         raise ValueError("batch_size must be at least 1 (or None)")
-    if S.unitarity_defect() > _UNITARITY_GATE:
+    if not S.unitarity_defect() <= _UNITARITY_GATE:  # NaN-safe
         raise ValueError("scattering matrix is not unitary")
     ns = sorted(range(B + 1) if n_set is None
                 else {_whole(n, "coefficient indices") for n in n_set})
@@ -341,9 +341,7 @@ def minor_sum_variance(S: BondScattering, n: int) -> float:
     incommensurate-lengths limit of the k-average.  Raises ValueError
     unless ``n`` is an integer (not a float or bool) in 0..B.
     """
-    B = S.num_bonds
-    if not 0 <= _whole(n, "coefficient indices") <= B:
-        raise ValueError(f"n must lie in 0..{B}")
+    [n] = _subset_sizes(S.graph, [n])
     if n == 0:
         return 1.0
     chunk = max(1, _STACK_ELEMENTS // (n * n))

@@ -1,7 +1,7 @@
 """The package namespace: every exported name resolves, none twice; no
 module imports a name it never uses; every private helper is used; the
-CLI imports no private name; and each module imports only the package
-modules below it."""
+CLI imports no private name; one helper checks integers; and each module
+imports only the package modules below it."""
 
 import ast
 from pathlib import Path
@@ -86,6 +86,27 @@ def test_cli_imports_no_private_name():
         if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert private == []
+
+
+def test_one_integer_rule():
+    """``graphs._whole`` is the one integer check: ``operator.index`` is
+    called nowhere else, and no ``int(name)`` truncates an argument.  The
+    CLI, which parses text, is exempt."""
+    calls, truncations = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        tree = ast.parse(path.read_text())
+        owners = {id(node): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                  for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "operator.index":
+                calls.append(f"{path.stem}.{owners.get(id(node))}")
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "int" and any(
+                    isinstance(arg, ast.Name) for arg in node.args):
+                truncations.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert calls == ["graphs._whole"]
+    assert truncations == []
 
 
 def _calls_thread_local(node: ast.AST) -> bool:

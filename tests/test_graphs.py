@@ -62,14 +62,14 @@ def test_directed_graph_rejects_unknown_vertex():
 
 def test_directed_graph_rejects_non_integer_vertices():
     # int() would truncate both 0.7 and 0.2 to vertex 0
-    with pytest.raises(TypeError, match="0.7 is not an integer"):
+    with pytest.raises(ValueError, match="vertex ids must be integers, got 0.7"):
         DirectedGraph(1, ((0.7, 0), (0, 0.2)))
     # bool is a subclass of int, but not a number of vertices
-    with pytest.raises(TypeError, match="True is not an integer"):
+    with pytest.raises(ValueError, match="vertex counts must be integers, got True"):
         DirectedGraph(True, ((0, 0), (0, 0)))
-    with pytest.raises(TypeError, match="is not an integer"):
+    with pytest.raises(ValueError, match="vertex counts must be integers, got 1.0"):
         DirectedGraph(1.0, ((0, 0), (0, 0)))
-    with pytest.raises(TypeError, match="False is not an integer"):
+    with pytest.raises(ValueError, match="vertex ids must be integers, got False"):
         DirectedGraph(1, ((0, False), (0, 0)))
     # numpy integers pass, stored as Python ints
     g = DirectedGraph(np.int64(2), ((np.int32(0), np.int64(1)), (np.uint8(1), 0)))
@@ -306,7 +306,7 @@ def test_load_rejects_malformed_file(tmp_path):
     ):
         path.write_text(text)
         for read in (q.read_graph, q.load_graph):
-            with pytest.raises(ValueError, match="malformed graph file .* is not an integer"):
+            with pytest.raises(ValueError, match="malformed graph file .* must be integers, got"):
                 read(path)
 
 

@@ -82,7 +82,7 @@ def test_primitive_orbits_smallest(debruijn8):
 ], ids=["canonical_orbit", "canonical_orbit-bool", "make_pseudo_orbit", "covers_of_subset",
         "subset_contribution"])
 def test_fractional_bond_ids_are_refused(debruijn8, call):
-    with pytest.raises(ValueError, match="unknown bond id"):
+    with pytest.raises(ValueError, match="bond ids must be integers, got"):
         call(debruijn8)
 
 

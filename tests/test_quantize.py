@@ -28,6 +28,9 @@ def test_transition_sign_rejects_nonadjacent(debruijn8):
     # bond 0 ends at vertex 0; bond 2 starts at vertex 1
     with pytest.raises(ValueError):
         q.transition_sign(debruijn8, 0, 2)
+    # bond -1 would index the last bond, (7, 7), which bond 15 follows
+    with pytest.raises(ValueError, match="unknown bond id -1"):
+        q.transition_sign(debruijn8, -1, 15)
 
 
 @pytest.mark.parametrize("fixture", ["scattering8", "scattering6"])

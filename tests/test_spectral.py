@@ -71,11 +71,20 @@ def test_coefficient_endpoints(scattering8, lengths8):
     assert riemann_siegel_residual(co) < 1e-12
 
 
-def test_nonunitary_input_rejected():
+def test_nonunitary_input_rejected(scattering6, lengths6):
     with pytest.raises(ValueError, match="not unitary"):
         char_poly_coefficients(0.5 * np.eye(4))
     with pytest.raises(ValueError):
         char_poly_coefficients(np.zeros((2, 3)))
+    # NaN compares false with the gate, so it must fail it, not pass it
+    with pytest.raises(ValueError, match=r"not unitary \(defect nan\)"):
+        char_poly_coefficients(np.full((4, 4), np.nan))
+    nan_S = BondScattering(scattering6.graph, np.full_like(scattering6.matrix, np.nan))
+    with pytest.raises(ValueError, match="scattering matrix is not unitary"):
+        mc_variance(nan_S, lengths6, [0], samples=10)
+    # a NaN k would make every entry of U NaN: it is refused where it enters
+    with pytest.raises(ValueError, match="k must be finite"):
+        evolution_operator(scattering6, lengths6, float("nan"))
 
 
 def test_negative_control_coefficients():
@@ -356,9 +365,38 @@ def test_mc_rejects_unusable_settings(scattering6, lengths6, setting, match):
         lambda g, S, L: q.census(g, [1.7]),
         lambda g, S, L: q.census(g, [1.7], mode="general"),
         lambda g, S, L: q.variance(g, [1.7]),
+        lambda g, S, L: q.orient_four_regular([(0, 0), (0.7, 0)]),
+        lambda g, S, L: q.orient_four_regular([(0, 0), (0, False)]),
+        lambda g, S, L: q.orient_four_regular([(0, 0), (0, 0)], vertex_count=1.0),
+        lambda g, S, L: q.build_binary_graph(True, 2),
+        lambda g, S, L: q.build_binary_graph(1, 1.5),
+        lambda g, S, L: q.sample_bond_lengths(g, True),
+        lambda g, S, L: q.sample_bond_lengths(g, 1.5),
+        lambda g, S, L: q.transition_sign(g, 0.5, 0),
+        lambda g, S, L: q.transition_sign(g, True, 2),
+        lambda g, S, L: list(q.admissible_subsets(g, 2.0)),
+        lambda g, S, L: list(q.admissible_subsets(g, True)),
+        lambda g, S, L: q.primitive_orbits(g, 3.0),
+        lambda g, S, L: q.primitive_orbits(g, True),
+        lambda g, S, L: q.primitive_orbits(g, 3, cap=1e9),
+        lambda g, S, L: q.primitive_orbits(g, 3, cap=True),
+        lambda g, S, L: q.enumerate_pseudo_orbits(g, 3.0, mode="general"),
+        lambda g, S, L: q.enumerate_pseudo_orbits(g, True, mode="general"),
+        lambda g, S, L: q.enumerate_pseudo_orbits(g, 2, cap=1e9),
+        lambda g, S, L: q.enumerate_pseudo_orbits(g, 2, cap=True),
+        lambda g, S, L: q.lyndon_words(2, 3.0),
+        lambda g, S, L: q.lyndon_words(True, 3),
+        lambda g, S, L: q.symmetric_group_parity_sum(2.0),
+        lambda g, S, L: q.symmetric_group_parity_sum(True),
     ],
     ids=["oracle-float", "oracle-bool", "mc-index", "mc-threads", "mc-samples", "mc-batch",
-         "mc-seed", "balanced-counts", "census", "census-general", "variance"],
+         "mc-seed", "balanced-counts", "census", "census-general", "variance",
+         "orient-float", "orient-bool", "orient-count", "binary-bool", "binary-float",
+         "lengths-bool", "lengths-float", "sign-float", "sign-bool", "admissible-float",
+         "admissible-bool", "orbits-float", "orbits-bool", "orbits-cap-float",
+         "orbits-cap-bool", "pseudo-orbits-float", "pseudo-orbits-bool",
+         "pseudo-orbits-cap-float", "pseudo-orbits-cap-bool", "lyndon-float", "lyndon-bool",
+         "parity-float", "parity-bool"],
 )
 def test_indices_and_counts_must_be_integers(binary6, scattering6, lengths6, call):
     # graphs' integer rule: a float or bool is refused, never truncated
